@@ -1,7 +1,8 @@
 // Nonblocking collectives over the reserved collective tag plane.
 //
-// Each call starts a CollOp state machine (see coll/request.hpp) and
-// returns immediately; the returned CollRequest completes as the op's
+// Each call builds the collective's schedule (coll/schedule.hpp), starts
+// the collective executor on it (coll/request.hpp) and returns
+// immediately; the returned CollRequest completes as the schedule's
 // rounds drain, driven from the owning worker's progress hook — so these
 // overlap with point-to-point traffic and with each other. Algorithms:
 //   ibarrier        dissemination (always flat: the payload is one token
@@ -26,18 +27,6 @@
 #include <cstdint>
 
 #include "p2p/coll/request.hpp"
-
-namespace mpicd::p2p {
-
-// Element-wise reduction operator for allreduce. On doubles, min/max
-// combine with std::min/std::max, so a NaN contribution wins when it is
-// the accumulated (left) argument and loses when it is the incoming
-// (right) argument — NaN handling is therefore combination-order
-// dependent and NOT the IEEE minNum/maxNum "ignore NaN" semantics. Ranks
-// needing deterministic NaN behavior must filter inputs first.
-enum class ReduceOp { sum, min, max };
-
-} // namespace mpicd::p2p
 
 namespace mpicd::p2p::coll {
 

@@ -7,6 +7,7 @@
 
 #include "base/flight_recorder.hpp"
 #include "base/log.hpp"
+#include "base/trace.hpp"
 #include "p2p/universe.hpp"
 
 namespace mpicd::p2p::coll {
@@ -36,10 +37,9 @@ std::atomic<std::uint64_t> g_coll_source_token{0};
 
 } // namespace
 
-CollOp::CollOp(Communicator& comm, Fam fam)
+CollOp::CollOp(Communicator& comm, Schedule sched)
     : comm_(comm),
-      topo_(TopologyMap::create(comm)),
-      fam_(fam),
+      sched_(std::move(sched)),
       base_tag_(comm.coll_reserve_tags(kCollTagStride)),
       op_id_((static_cast<std::uint64_t>(comm.context()) << 32) | base_tag_),
       begin_vtime_(comm.now()) {
@@ -82,42 +82,52 @@ CollOp::~CollOp() {
     ops.erase(std::remove(ops.begin(), ops.end(), this), ops.end());
 }
 
-void CollOp::track_step(Request rq, int peer, bool is_send) {
-    pending_.push_back(std::move(rq));
-    pending_peer_.push_back(peer);
-    if (peer < 0) return;
-    for (PeerProgress& p : peers_) {
-        if (p.peer == peer) {
-            (is_send ? p.sends : p.recvs) += 1;
-            return;
-        }
+void CollOp::post(const Step& s) {
+    // With tracing on, each step runs under a fresh msg id and the
+    // coll.step_* instant records (op, rank, peer, sub) next to it: the
+    // join point attaching the message's span tree to this op's round.
+    // Msg ids are opaque to the transport (never touch CRC, timing or the
+    // fragment schedule), so tracing stays a pure observer.
+    const trace::MsgScope scope(trace::enabled() ? trace::next_msg_id()
+                                                 : trace::current_msg());
+    if (trace::enabled()) {
+        trace::instant("coll", s.send ? "step_send" : "step_recv", comm_.now(),
+                       "op", op_id_, "rank",
+                       static_cast<std::uint64_t>(sched_.topo.rank), "peer",
+                       static_cast<std::uint64_t>(s.peer), "sub", s.sub);
     }
-    PeerProgress p;
-    p.peer = peer;
-    (is_send ? p.sends : p.recvs) = 1;
-    peers_.push_back(p);
+    const std::uint32_t ctag = base_tag_ + s.sub;
+    pending_.push_back({s.send ? comm_.coll_isend(s.data, s.peer, ctag)
+                               : comm_.coll_irecv(s.data, s.peer, ctag),
+                        &s});
 }
 
-void CollOp::enter_phase() {
+void CollOp::enter_round() {
     if (trace::enabled()) {
         trace::instant("coll", "round", comm_.now(), "op", op_id_, "rank",
-                       static_cast<std::uint64_t>(topo_.rank), "round",
+                       static_cast<std::uint64_t>(sched_.topo.rank), "round",
                        rounds_run_);
     }
     ++rounds_run_;
-    next_phase();
+    while (next_round_ < sched_.rounds.size()) {
+        const Round& rd = sched_.rounds[next_round_++];
+        for (const Action& a : rd.actions) a.run();
+        for (const Step& s : rd.steps) post(s);
+        if (!rd.steps.empty()) return;
+    }
+    finishing_ = true;
 }
 
 void CollOp::complete_locked() {
     const SimTime now = comm_.now();
-    auto& h = op_hists(fam_, algo_);
+    auto& h = op_hists(sched_.fam, sched_.algo);
     const double lat_ns = (now - begin_vtime_) * 1000.0;
     h.latency_ns.record(lat_ns > 0.0 ? static_cast<std::uint64_t>(lat_ns) : 0);
     h.rounds.record(rounds_run_);
     if (trace::enabled()) {
         trace::instant(
             "coll", "op_end", now, "op", op_id_, "rank",
-            static_cast<std::uint64_t>(topo_.rank), "status",
+            static_cast<std::uint64_t>(sched_.topo.rank), "status",
             static_cast<std::uint64_t>(status_.load(std::memory_order_relaxed)),
             "rounds", rounds_run_);
     }
@@ -132,43 +142,39 @@ bool CollOp::advance() {
         moved = true;
         if (trace::enabled()) {
             trace::instant("coll", "op_begin", begin_vtime_, "op", op_id_,
-                           "rank", static_cast<std::uint64_t>(topo_.rank),
-                           "fam", static_cast<std::uint64_t>(fam_), "algo",
-                           algo_ == Algo::hier ? 1 : 0);
+                           "rank", static_cast<std::uint64_t>(sched_.topo.rank),
+                           "fam", static_cast<std::uint64_t>(sched_.fam), "algo",
+                           sched_.algo == Algo::hier ? 1 : 0);
         }
-        enter_phase();
+        enter_round();
     }
+    const TopologyMap& t = sched_.topo;
     for (std::size_t i = 0; i < pending_.size();) {
         MsgStatus st;
-        if (pending_[i].poll(&st)) {
-            if (!ok(st.status) && ok(status_.load(std::memory_order_relaxed)))
-                status_.store(st.status, std::memory_order_relaxed);
-            const int peer = pending_peer_[i];
-            if (peer >= 0) {
-                for (PeerProgress& p : peers_) {
-                    if (p.peer == peer) {
-                        ++p.completed;
-                        break;
-                    }
-                }
-            }
-            pending_[i] = std::move(pending_.back());
-            pending_.pop_back();
-            pending_peer_[i] = pending_peer_.back();
-            pending_peer_.pop_back();
-            moved = true;
-        } else {
+        if (!pending_[i].rq.poll(&st)) {
             ++i;
+            continue;
         }
+        if (!ok(st.status) && ok(status_.load(std::memory_order_relaxed)))
+            status_.store(st.status, std::memory_order_relaxed);
+        const Step& s = *pending_[i].step;
+        // Inter-node payload of hierarchical ops, counted once per message
+        // on the receiving side from the size actually delivered.
+        if (!s.send && sched_.algo == Algo::hier && t.cross_node(t.rank, s.peer))
+            coll_counters().leader_bytes.fetch_add(
+                static_cast<std::uint64_t>(st.bytes), std::memory_order_relaxed);
+        pending_[i] = std::move(pending_.back());
+        pending_.pop_back();
+        moved = true;
     }
-    // Enter the next phase(s). On error no further phase is posted: the op
+    // Enter the next round(s). On error no further round is posted: the op
     // finishes as soon as the already-posted requests drain (each of them
     // individually completes or times out under the reliability watchdogs,
     // so an erroring collective can never hang).
     while (pending_.empty() && !finishing_ &&
            ok(status_.load(std::memory_order_relaxed))) {
         moved = true;
-        enter_phase();
+        enter_round();
     }
     if (watchdog_us_ > 0.0 && !pending_.empty()) {
         const SimTime now = comm_.now();
@@ -192,8 +198,12 @@ bool CollOp::advance() {
                     g_coll_source_token.load(std::memory_order_acquire),
                     [this](std::FILE* f) { dump_all(f, this); });
             }
+            // Withdraw the unmatched receives so a peer that enters late
+            // cannot deliver into buffers this op (or its caller) is about
+            // to release.
+            for (Posted& p : pending_)
+                if (!p.step->send) (void)p.rq.cancel();
             pending_.clear();
-            pending_peer_.clear();
             finishing_ = true;
             moved = true;
         }
@@ -212,15 +222,34 @@ void CollOp::dump_state(std::FILE* f) {
         f,
         "  op=%llx fam=%s algo=%s rank=%d rounds=%u pending=%zu status=%d "
         "done=%d begin_vt=%.3f last_move_vt=%.3f\n",
-        static_cast<unsigned long long>(op_id_), fam_name(fam_),
-        algo_name(algo_), topo_.rank, rounds_run_, pending_.size(),
+        static_cast<unsigned long long>(op_id_), fam_name(sched_.fam),
+        algo_name(sched_.algo), sched_.topo.rank, rounds_run_, pending_.size(),
         static_cast<int>(status_.load(std::memory_order_relaxed)),
         done_.load(std::memory_order_relaxed) ? 1 : 0, begin_vtime_,
         last_move_vtime_);
-    for (const PeerProgress& p : peers_) {
+    // Per-peer progress over the rounds entered so far — when a collective
+    // times out, "peer 7: 2 posted, 0 completed" is the straggler
+    // attribution a raw pending count cannot give. A posted step is
+    // complete unless it is still pending.
+    struct PeerProgress {
+        int peer;
+        unsigned sends, recvs, completed;
+    };
+    std::vector<PeerProgress> peers;
+    for (std::size_t i = 0; i < next_round_; ++i) {
+        for (const Step& s : sched_.rounds[i].steps) {
+            auto p = std::find_if(peers.begin(), peers.end(),
+                                  [&](const PeerProgress& q) { return q.peer == s.peer; });
+            if (p == peers.end()) p = peers.insert(peers.end(), {s.peer, 0, 0, 0});
+            ++(s.send ? p->sends : p->recvs);
+            if (std::none_of(pending_.begin(), pending_.end(),
+                             [&](const Posted& q) { return q.step == &s; }))
+                ++p->completed;
+        }
+    }
+    for (const PeerProgress& p : peers)
         std::fprintf(f, "    peer=%d sends=%u recvs=%u completed=%u\n", p.peer,
                      p.sends, p.recvs, p.completed);
-    }
 }
 
 void CollOp::dump_all(std::FILE* f, CollOp* self) {
@@ -251,12 +280,13 @@ void CollOp::on_stall() {
     (void)advance();
 }
 
-CollRequest launch(Communicator& comm, std::shared_ptr<CollOp> op) {
+CollRequest launch(Communicator& comm, Schedule sched) {
+    auto op = std::make_shared<CollOp>(comm, std::move(sched));
     CollRequest rq;
     rq.uni_ = &comm.universe();
     rq.ep_ = comm.worker().endpoint();
     rq.op_ = op;
-    // Phase 0 posts synchronously: by the time this collective call
+    // Round 0 posts synchronously: by the time this collective call
     // returns, the rank's initial receives exist, so a peer entering later
     // can never mistake other traffic for them.
     (void)op->advance();

@@ -1,8 +1,9 @@
-// CollOp / CollRequest: the nonblocking collective machinery.
+// CollOp / CollRequest: the one collective executor.
 //
-// Every collective is a small state machine (a CollOp subclass) that posts
-// point-to-point operations on the communicator's reserved collective tag
-// plane (Communicator::coll_*) in phases. The machine is advanced from two
+// Every collective — blocking or not, fixed-size or v-variant — is a
+// Schedule (coll/schedule.hpp) produced by a pure builder; CollOp runs it.
+// It posts point-to-point steps on the communicator's reserved collective
+// tag plane (Communicator::coll_*) round by round and is advanced from two
 // places:
 //  - a worker progress hook (ucx::Worker::add_progress_hook), so a
 //    collective keeps moving whenever this rank's endpoint is progressed —
@@ -12,23 +13,31 @@
 //    rank blocked only on the collective still pumps the fabric.
 //
 // advance() is serialized by the op's own mutex; inside it only
-// non-progressing completion polls (Request::poll) and new coll_* posts
-// happen, so it is safe in hook context (worker busy flag held, protocol
-// mutex released).
+// non-progressing completion polls (Request::poll), local round actions
+// and new coll_* posts happen, so it is safe in hook context (worker busy
+// flag held, protocol mutex released).
 //
-// Observability (docs/OBSERVABILITY.md §collectives): every op carries a
-// process-unique op id — (communicator context << 32) | reserved tag
-// block. Tag blocks come from the forward-only per-communicator epoch
-// counter, which every rank advances in lockstep, so the SAME id names
-// the same collective instance on every rank: one trace file groups all
-// ranks' events of one op. With tracing on, the op emits coll.op_begin /
-// coll.round / coll.step_send / coll.step_recv / coll.op_end instants,
-// and each point-to-point step opens a fresh trace MsgScope so the
-// message's whole packet/pack span tree hangs off the step. Always on
-// (tracing or not), completion records coll/op_latency_ns_* and
-// coll/op_rounds_* histograms, and live ops register with the flight
-// recorder so a collective timing out under fault injection dumps the op
-// state table with per-peer round progress.
+// Round accounting: entering a round runs its actions and posts its
+// steps; a round that posts nothing is not counted — its actions run and
+// the executor moves straight on to the next round. Once the schedule is
+// exhausted and drained, one final (terminal) round is counted in which
+// the op completes. So op_rounds = (rounds that posted) + 1.
+//
+// Observability (docs/OBSERVABILITY.md §collectives) lives here and only
+// here: every op carries a process-unique op id — (communicator context
+// << 32) | reserved tag block. Tag blocks come from the forward-only
+// per-communicator epoch counter, which every rank advances in lockstep,
+// so the SAME id names the same collective instance on every rank: one
+// trace file groups all ranks' events of one op. With tracing on, the op
+// emits coll.op_begin / coll.round / coll.step_send / coll.step_recv /
+// coll.op_end instants, and each point-to-point step opens a fresh trace
+// MsgScope so the message's whole packet/pack span tree hangs off the
+// step. Always on (tracing or not): the coll/ops counter at launch,
+// coll/leader_bytes from the received size of every cross-node step of a
+// hierarchical op, coll/op_latency_ns_* and coll/op_rounds_* histograms
+// at completion, and live ops register with the flight recorder so a
+// collective timing out under fault injection dumps the op state table
+// with per-peer round progress.
 #pragma once
 
 #include <cstdint>
@@ -38,29 +47,28 @@
 #include <span>
 #include <vector>
 
-#include "base/trace.hpp"
-#include "p2p/coll/topology.hpp"
+#include "p2p/coll/schedule.hpp"
 #include "p2p/communicator.hpp"
 
 namespace mpicd::p2p::coll {
 
 class CollOp {
 public:
-    CollOp(Communicator& comm, Fam fam);
-    virtual ~CollOp();
+    CollOp(Communicator& comm, Schedule sched);
+    ~CollOp();
     CollOp(const CollOp&) = delete;
     CollOp& operator=(const CollOp&) = delete;
 
-    // Advance the state machine: poll tracked requests, enter the next
-    // phase(s) when the current one drained. Returns true if anything
-    // moved. Thread-safe; never drives fabric progress.
+    // Advance the schedule: poll posted steps, enter the next round(s)
+    // when the current one drained. Returns true if anything moved.
+    // Thread-safe; never drives fabric progress.
     bool advance();
 
     [[nodiscard]] bool done() const noexcept {
         return done_.load(std::memory_order_acquire);
     }
-    // First error any tracked request completed with (success while
-    // running). Stable once done() is true.
+    // First error any step completed with (success while running). Stable
+    // once done() is true.
     [[nodiscard]] Status status() const noexcept {
         return status_.load(std::memory_order_acquire);
     }
@@ -72,72 +80,14 @@ public:
     // budget is already exhausted and no timer remains to escalate to.
     void on_stall();
 
-protected:
-    // Contiguous collective-tag block reserved per operation; phases and
-    // rounds index into it (subtag < kCollTagStride always, with room to
-    // spare — the deepest schedule uses ~2*log2(kMaxWorldSize) rounds).
-    static constexpr std::uint32_t kCollTagStride = 64;
-
-    // Post the operations of the next phase via the step helpers, or call
-    // finish(). Invoked under the op mutex whenever no tracked request
-    // remains; must do one or the other (posting nothing without finishing
-    // would spin). Not called again after finish() or after an error is
-    // recorded.
-    virtual void next_phase() = 0;
-
-    // Post one point-to-point step of this op. `post` runs the actual
-    // comm_.coll_* call; `peer` / `ctag` name the step for tracing and
-    // the flight-recorder progress table. With tracing on the post runs
-    // inside a fresh MsgScope and a coll.step_send/step_recv instant
-    // records (op, rank, peer, sub) next to the new msg id — that instant
-    // is the join point attaching the message's span tree to this op's
-    // round. Msg ids are opaque to the transport (never touch CRC, timing
-    // or the fragment schedule), so tracing stays a pure observer.
-    template <typename PostFn>
-    void step_send(int peer, std::uint32_t ctag, PostFn&& post) {
-        post_step(true, peer, ctag, static_cast<PostFn&&>(post));
-    }
-    template <typename PostFn>
-    void step_recv(int peer, std::uint32_t ctag, PostFn&& post) {
-        post_step(false, peer, ctag, static_cast<PostFn&&>(post));
-    }
-
-    // Untraced tracking (no peer attribution); prefer the step helpers.
-    void track(Request rq) { track_step(std::move(rq), -1, false); }
-
-    // Record the algorithm the subclass selected (selection runs in
-    // subclass ctors, after this base is built). Defaults to flat.
-    void note_algo(Algo a) noexcept { algo_ = a; }
-
-    void finish() noexcept { finishing_ = true; }
-    [[nodiscard]] std::uint32_t tag(std::uint32_t subtag) const noexcept {
-        return base_tag_ + subtag;
-    }
-    [[nodiscard]] std::uint64_t op_id() const noexcept { return op_id_; }
-
-    Communicator& comm_;
-    const TopologyMap topo_;
-
 private:
-    template <typename PostFn>
-    void post_step(bool is_send, int peer, std::uint32_t ctag, PostFn&& post) {
-        if (trace::enabled()) {
-            const trace::MsgScope scope(trace::next_msg_id());
-            trace::instant("coll", is_send ? "step_send" : "step_recv",
-                           comm_.now(), "op", op_id_, "rank",
-                           static_cast<std::uint64_t>(topo_.rank), "peer",
-                           static_cast<std::uint64_t>(peer), "sub",
-                           ctag - base_tag_);
-            track_step(post(), peer, is_send);
-        } else {
-            track_step(post(), peer, is_send);
-        }
-    }
-
-    void track_step(Request rq, int peer, bool is_send);
-    // Emit the coll.round instant and run the subclass phase (under mu_).
-    void enter_phase();
-    // Metrics + coll.op_end at the done transition (under mu_).
+    // Count one round (coll.round instant), then run schedule rounds until
+    // one posts or the schedule is exhausted (mu_ held).
+    void enter_round();
+    // Post one step (coll.step_send / coll.step_recv instant under a fresh
+    // MsgScope when tracing) and track it (mu_ held).
+    void post(const Step& s);
+    // Metrics + coll.op_end at the done transition (mu_ held).
     void complete_locked();
     // One line of op state + per-peer progress; mu_ must be held (or
     // known-unlocked via try_lock by the flight dump path).
@@ -147,24 +97,18 @@ private:
     // others are try_lock'ed and print "<busy>" when contended.
     static void dump_all(std::FILE* f, CollOp* self);
 
-    const Fam fam_;
-    Algo algo_ = Algo::flat;
+    Communicator& comm_;
+    const Schedule sched_;
     const std::uint32_t base_tag_;
     const std::uint64_t op_id_;
     const SimTime begin_vtime_;
     std::mutex mu_;
-    std::vector<Request> pending_;   // posted, not yet completed
-    std::vector<int> pending_peer_;  // peer of pending_[i] (-1 = unknown)
-    // Per-peer post/completion counts for the flight-recorder table: when
-    // a collective times out, "peer 7: 2 posted, 0 completed" is the
-    // straggler attribution a raw pending count cannot give.
-    struct PeerProgress {
-        int peer = -1;
-        std::uint32_t sends = 0;
-        std::uint32_t recvs = 0;
-        std::uint32_t completed = 0;
+    struct Posted {
+        Request rq;
+        const Step* step;
     };
-    std::vector<PeerProgress> peers_;
+    std::vector<Posted> pending_; // posted, not yet completed
+    std::size_t next_round_ = 0; // schedule index of the next round to enter
     std::uint32_t rounds_run_ = 0;
     bool started_ = false;
     bool finishing_ = false;
@@ -173,13 +117,14 @@ private:
     // Loss watchdog (fault-injected fabrics only; 0 = disarmed). The
     // point-to-point reliability watchdogs cover a receive only once its
     // rendezvous started; a collective waiting on a peer that already gave
-    // up (retransmit budget exhausted) would otherwise wait forever on an
-    // eager receive no sender will ever satisfy. If no tracked request
-    // completes for `watchdog_us_` of virtual time, the op fails with
-    // Status::timeout and ABANDONS its posted requests — safe because the
-    // op's reserved tag block is never reused (the epoch counter only
-    // moves forward), so an abandoned receive can never match later
-    // traffic.
+    // up (retransmit budget exhausted) or never entered would otherwise
+    // wait forever on an eager receive no sender will ever satisfy. If no
+    // posted step completes for `watchdog_us_` of virtual time, the op
+    // fails with Status::timeout and ABANDONS its posted requests — safe
+    // because the op's reserved tag block is never reused (the epoch
+    // counter only moves forward), so an abandoned request can never
+    // match later traffic, and its unmatched receives are withdrawn, so a
+    // late peer's message cannot land in released buffers.
     SimTime watchdog_us_ = 0.0;
     SimTime last_move_vtime_ = 0.0;
 };
@@ -202,7 +147,7 @@ public:
     Status wait();
 
 private:
-    friend CollRequest launch(Communicator& comm, std::shared_ptr<CollOp> op);
+    friend CollRequest launch(Communicator& comm, Schedule sched);
     friend CollRequest error_request(Status st);
 
     Universe* uni_ = nullptr;
@@ -214,10 +159,11 @@ private:
     Status early_error_ = Status::err_arg;
 };
 
-// Start `op`: run its first phase synchronously (so every rank's initial
-// receives/sends are posted on entry, preserving collective entry order)
-// and install a worker progress hook that keeps advancing it until done.
-[[nodiscard]] CollRequest launch(Communicator& comm, std::shared_ptr<CollOp> op);
+// Start executing `sched`: reserve the op's tag block, enter its first
+// round synchronously (so every rank's initial receives/sends are posted
+// on entry, preserving collective entry order) and install a worker
+// progress hook that keeps advancing it until done.
+[[nodiscard]] CollRequest launch(Communicator& comm, Schedule sched);
 
 // An already-failed request carrying a local validation error.
 [[nodiscard]] CollRequest error_request(Status st);

@@ -1,47 +1,143 @@
-// Communication schedules shared by the collective algorithms: binomial
-// trees (bcast / reduce) and dissemination rounds (barrier). All helpers
-// work in a root-rotated virtual rank space so any rank can be the root.
+// Collective schedules: the one intermediate representation every
+// collective algorithm compiles to (the libNBC design of Hoefler et al.,
+// SC'07).
+//
+// A builder is a pure function from (TopologyMap, root, counts, payload)
+// to a Schedule: an ordered list of rounds. Entering a round runs its
+// local actions (block copies, element-wise reductions) and then posts its
+// steps in order; the next round is entered only once every step of the
+// current one completed. Builders touch no fabric, so they are testable on
+// their own (tests/test_coll_schedule.cpp); the executor that runs a
+// schedule over a communicator is CollOp (coll/request.hpp).
 #pragma once
 
+#include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
+
+#include "dt/datatype.hpp"
+#include "p2p/coll/topology.hpp"
+
+namespace mpicd::core {
+class CustomDatatype;
+}
+
+namespace mpicd::p2p {
+
+// Element-wise reduction operator for allreduce. On doubles, min/max
+// combine with std::min/std::max, so a NaN contribution wins when it is
+// the accumulated (left) argument and loses when it is the incoming
+// (right) argument — NaN handling is therefore combination-order
+// dependent and NOT the IEEE minNum/maxNum "ignore NaN" semantics. Ranks
+// needing deterministic NaN behavior must filter inputs first.
+enum class ReduceOp { sum, min, max };
+
+} // namespace mpicd::p2p
 
 namespace mpicd::p2p::coll {
 
-// ceil(log2(n)) — the number of dissemination / binomial rounds for n
-// participants (0 for n <= 1).
-[[nodiscard]] constexpr int log2_rounds(int n) noexcept {
-    int rounds = 0;
-    for (int span = 1; span < n; span <<= 1) ++rounds;
-    return rounds;
-}
+// Size of the contiguous collective-tag block each op reserves; every
+// step's subtag indexes into it and stays below this (the deepest
+// schedule, allreduce, tops out at subtag 49).
+inline constexpr std::uint32_t kCollTagStride = 64;
 
-// Virtual rank of `rank` in the tree rooted at `root` (and back).
-[[nodiscard]] constexpr int to_vrank(int rank, int root, int n) noexcept {
-    return (rank - root + n) % n;
-}
-[[nodiscard]] constexpr int from_vrank(int vrank, int root, int n) noexcept {
-    return (vrank + root) % n;
-}
+// What one step moves: `count` units at `buf`. Units are raw bytes unless
+// `type` (elements of a committed derived datatype) or `custom` (elements
+// of a custom datatype) is set.
+struct Payload {
+    void* buf = nullptr;
+    Count count = 0;
+    dt::TypeRef type;
+    const core::CustomDatatype* custom = nullptr;
 
-// Binomial-tree parent of virtual rank `vr` (-1 for the root). The tree
-// clears the lowest set bit: vr receives from vr - 2^k where 2^k is the
-// lowest set bit of vr.
-[[nodiscard]] constexpr int bin_parent(int vr) noexcept {
-    return vr == 0 ? -1 : vr - (vr & -vr);
-}
+    [[nodiscard]] static Payload bytes(const void* p, Count n) {
+        return {const_cast<void*>(p), n, nullptr, nullptr};
+    }
+    [[nodiscard]] bool is_bytes() const noexcept {
+        return type == nullptr && custom == nullptr;
+    }
+    // Custom payloads always move (their size is the sender's query
+    // callback's answer); the others move only when non-empty.
+    [[nodiscard]] bool empty() const noexcept {
+        return custom == nullptr && count == 0;
+    }
+    // Packed bytes on the wire; -1 for custom payloads.
+    [[nodiscard]] Count wire_bytes() const noexcept {
+        if (custom != nullptr) return -1;
+        return type != nullptr ? count * type->size() : count;
+    }
+};
 
-// Binomial-tree children of virtual rank `vr` among n participants, in the
-// order a binomial bcast reaches them (largest subtree first). vr's
-// children are vr + 2^k for every 2^k above vr's lowest set bit (all bits
-// for the root) that stays below n.
-[[nodiscard]] inline std::vector<int> bin_children(int vr, int n) {
-    std::vector<int> kids;
-    const int low = vr == 0 ? n : (vr & -vr);
-    for (int bit = 1; bit < low && vr + bit < n; bit <<= 1) kids.push_back(vr + bit);
-    // Largest subtree first so deep subtrees start earliest.
-    for (std::size_t i = 0, j = kids.size(); i + 1 < j; ++i, --j)
-        std::swap(kids[i], kids[j - 1]);
-    return kids;
-}
+// One point-to-point operation of a round.
+struct Step {
+    bool send = false;
+    int peer = -1;
+    std::uint32_t sub = 0; // subtag within the op's tag block
+    Payload data;
+};
+
+// Local work a round runs on entry: copy `n` bytes from src to dst, or —
+// with `reduce` set — fold `n` elements of src into dst.
+using ReduceFn = void (*)(void* dst, const void* src, Count n, ReduceOp op);
+struct Action {
+    void* dst = nullptr;
+    const void* src = nullptr;
+    Count n = 0;
+    ReduceFn reduce = nullptr;
+    ReduceOp op = ReduceOp::sum;
+
+    void run() const;
+};
+
+struct Round {
+    std::vector<Action> actions;
+    std::vector<Step> steps;
+};
+
+struct Schedule {
+    Fam fam = Fam::barrier;
+    Algo algo = Algo::flat;
+    TopologyMap topo;
+    std::vector<Round> rounds;
+    // Staging memory steps and actions point into (barrier tokens, reduce
+    // partners, leader aggregation blocks). Each block is allocated once,
+    // zeroed, and never moves, so the pointers survive moving the schedule.
+    std::vector<std::unique_ptr<std::byte[]>> scratch;
+
+    [[nodiscard]] std::byte* alloc(Count n) {
+        scratch.push_back(std::make_unique<std::byte[]>(static_cast<std::size_t>(n)));
+        return scratch.back().get();
+    }
+};
+
+// --- Builders. Every rank of the collective builds its own schedule from
+// the same arguments (counts, root, topology) and its own buffers. ------
+
+[[nodiscard]] Schedule build_barrier(const TopologyMap& t);
+[[nodiscard]] Schedule build_bcast(const TopologyMap& t, Algo a, int root,
+                                   const Payload& data);
+// Rank i's n-byte block lands at byte offset i*n of the root's `recv`.
+[[nodiscard]] Schedule build_gather(const TopologyMap& t, Algo a, int root,
+                                    const void* send, Count n, void* recv);
+// In place over `data`; T is double or std::int64_t.
+template <typename T>
+[[nodiscard]] Schedule build_allreduce(const TopologyMap& t, Algo a, T* data,
+                                       Count count, ReduceOp op);
+
+// v-variants: one payload per peer. An empty payload posts nothing; a
+// byte payload for this rank itself is a local copy, a typed one goes
+// through the loopback link so its pack/unpack callbacks run.
+// gatherv: `recv` (one slot per source rank) is read at the root only.
+[[nodiscard]] Schedule build_gatherv(const TopologyMap& t, int root,
+                                     const Payload& send,
+                                     std::span<const Payload> recv);
+// allgatherv: the hier algorithm needs byte payloads.
+[[nodiscard]] Schedule build_allgatherv(const TopologyMap& t, Algo a,
+                                        const Payload& send,
+                                        std::span<const Payload> recv);
+[[nodiscard]] Schedule build_alltoallv(const TopologyMap& t,
+                                       std::span<const Payload> send,
+                                       std::span<const Payload> recv);
 
 } // namespace mpicd::p2p::coll

@@ -12,10 +12,14 @@
 namespace mpicd::p2p::coll {
 
 TopologyMap TopologyMap::create(Communicator& comm) {
+    return make(comm.size(), comm.rank(),
+                comm.worker().fabric().params().ranks_per_node);
+}
+
+TopologyMap TopologyMap::make(int size, int rank, int rpn) {
     TopologyMap t;
-    t.size = comm.size();
-    t.rank = comm.rank();
-    const int rpn = comm.worker().fabric().params().ranks_per_node;
+    t.size = size;
+    t.rank = rank;
     // A flat fabric (rpn == 0) or one node wide enough for the whole world
     // degenerates to a single node.
     t.ranks_per_node = (rpn > 0 && rpn < t.size) ? rpn : t.size;

@@ -12,7 +12,6 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "base/bytes.hpp"
 
@@ -36,6 +35,8 @@ struct TopologyMap {
     int node_count = 1;
 
     [[nodiscard]] static TopologyMap create(Communicator& comm);
+    // `ranks_per_node` as the fabric models it (0 = flat fabric).
+    [[nodiscard]] static TopologyMap make(int size, int rank, int ranks_per_node);
 
     [[nodiscard]] int node_of(int r) const noexcept { return r / ranks_per_node; }
     [[nodiscard]] int leader_of(int r) const noexcept {
@@ -54,12 +55,6 @@ struct TopologyMap {
     }
     [[nodiscard]] int node_size(int b) const noexcept {
         return node_end(b) - node_begin(b);
-    }
-    [[nodiscard]] std::vector<int> leaders() const {
-        std::vector<int> ls(static_cast<std::size_t>(node_count));
-        for (int b = 0; b < node_count; ++b)
-            ls[static_cast<std::size_t>(b)] = node_begin(b);
-        return ls;
     }
     // A hierarchical algorithm only has something to aggregate when there
     // are at least two nodes and at least one node holds several ranks.
@@ -118,7 +113,7 @@ struct CollCounters {
     std::atomic<std::uint64_t>& ops;           // collective operations started
     std::atomic<std::uint64_t>& flat_selected; // select_algo -> flat
     std::atomic<std::uint64_t>& hier_selected; // select_algo -> hier
-    std::atomic<std::uint64_t>& leader_bytes;  // hier payload bytes inter-node
+    std::atomic<std::uint64_t>& leader_bytes;  // hier bytes received cross-node
 };
 [[nodiscard]] CollCounters& coll_counters() noexcept;
 

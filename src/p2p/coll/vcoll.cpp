@@ -1,617 +1,217 @@
 #include "p2p/coll/vcoll.hpp"
 
-#include <cstring>
-#include <initializer_list>
+#include <algorithm>
 #include <vector>
-
-#include "base/trace.hpp"
 
 namespace mpicd::p2p::coll {
 
 namespace {
 
-// Every blocking v-collective reserves one tag block, mirroring the
-// nonblocking ops, so concurrent p2p traffic and later collectives can
-// never alias its rounds. Subtags: 0 = data / member->leader, 1 =
-// leader<->leader superblocks, 2 = leader->member result.
-constexpr std::uint32_t kStride = 64;
-
-[[nodiscard]] std::byte* at(void* base, Count off) noexcept {
-    return static_cast<std::byte*>(base) + off;
-}
-[[nodiscard]] const std::byte* at(const void* base, Count off) noexcept {
-    return static_cast<const std::byte*>(base) + off;
+[[nodiscard]] std::byte* at(const void* base, Count off) noexcept {
+    return static_cast<std::byte*>(const_cast<void*>(base)) + off;
 }
 
-void copy_block(void* dst, const void* src, Count n) noexcept {
-    if (n > 0) std::memcpy(dst, src, static_cast<std::size_t>(n));
+[[nodiscard]] bool covers(const Communicator& comm, std::size_t entries) {
+    return entries >= static_cast<std::size_t>(comm.size());
 }
 
-[[nodiscard]] bool spans_cover(const Communicator& comm,
-                               std::initializer_list<std::size_t> sizes) {
-    for (const std::size_t s : sizes)
-        if (s < static_cast<std::size_t>(comm.size())) return false;
-    return true;
+// Per-peer counts/displacements are well formed: comm.size() entries, no
+// negative count, and a buffer behind any non-empty block.
+[[nodiscard]] bool blocks_ok(const Communicator& comm, std::span<const Count> counts,
+                             std::span<const Count> displs, const void* buf) {
+    if (!covers(comm, counts.size()) || !covers(comm, displs.size())) return false;
+    return std::none_of(counts.begin(), counts.begin() + comm.size(), [&](Count c) {
+        return c < 0 || (c > 0 && buf == nullptr);
+    });
 }
 
-void note_op() { coll_counters().ops.fetch_add(1, std::memory_order_relaxed); }
+// err_arg for a missing type, err_not_committed for an uncommitted one.
+[[nodiscard]] Status type_status(const dt::TypeRef& type) {
+    if (type == nullptr) return Status::err_arg;
+    return type->committed() ? Status::success : Status::err_not_committed;
+}
 
-// The blocking v-collectives are not CollOps, but they speak the same
-// observability vocabulary (docs/OBSERVABILITY.md §collectives): the same
-// (context << 32 | tag block) op id, the same coll.op_begin / coll.round /
-// coll.step_send / coll.step_recv / coll.op_end instants, and the same
-// coll/op_latency_ns_* / op_rounds_* histograms. OpScope is the per-call
-// observer — destructor-based so an early error return still closes the
-// op (record the final status via done()). Pure observer: msg ids and
-// instants never touch the transport.
-class OpScope {
-public:
-    OpScope(Communicator& comm, Fam fam, Algo algo, std::uint32_t base)
-        : comm_(comm),
-          fam_(fam),
-          algo_(algo),
-          op_id_((static_cast<std::uint64_t>(comm.context()) << 32) | base),
-          begin_vtime_(comm.now()) {
-        if (trace::enabled()) {
-            trace::instant("coll", "op_begin", begin_vtime_, "op", op_id_,
-                           "rank", static_cast<std::uint64_t>(comm.rank()),
-                           "fam", static_cast<std::uint64_t>(fam_), "algo",
-                           algo_ == Algo::hier ? 1 : 0);
-        }
-    }
-    ~OpScope() {
-        const SimTime now = comm_.now();
-        auto& h = op_hists(fam_, algo_);
-        const double lat_ns = (now - begin_vtime_) * 1000.0;
-        h.latency_ns.record(lat_ns > 0.0 ? static_cast<std::uint64_t>(lat_ns)
-                                         : 0);
-        h.rounds.record(rounds_);
-        if (trace::enabled()) {
-            trace::instant("coll", "op_end", now, "op", op_id_, "rank",
-                           static_cast<std::uint64_t>(comm_.rank()), "status",
-                           static_cast<std::uint64_t>(status_), "rounds",
-                           rounds_);
-        }
-    }
-    OpScope(const OpScope&) = delete;
-    OpScope& operator=(const OpScope&) = delete;
+// comm.size() object pointers, none null.
+template <typename Ptr>
+[[nodiscard]] bool objects_ok(const Communicator& comm, std::span<Ptr const> objs) {
+    return covers(comm, objs.size()) &&
+           std::none_of(objs.begin(), objs.begin() + comm.size(),
+                        [](const void* p) { return p == nullptr; });
+}
 
-    // Start of the next posting stage (one coll.round instant).
-    void round() {
-        if (trace::enabled()) {
-            trace::instant("coll", "round", comm_.now(), "op", op_id_, "rank",
-                           static_cast<std::uint64_t>(comm_.rank()), "round",
-                           rounds_);
-        }
-        ++rounds_;
-    }
+// One block per peer: counts[i] units at displs[i] * unit bytes into
+// `base`, typed by `type` (null: raw bytes).
+std::vector<Payload> blocks(const Communicator& comm, const void* base,
+                            std::span<const Count> counts,
+                            std::span<const Count> displs, const dt::TypeRef& type) {
+    const Count unit = type != nullptr ? type->extent() : 1;
+    std::vector<Payload> out(static_cast<std::size_t>(comm.size()));
+    for (std::size_t i = 0; i < out.size(); ++i)
+        out[i] = {counts[i] > 0 ? at(base, displs[i] * unit) : nullptr, counts[i],
+                  type, nullptr};
+    return out;
+}
 
-    template <typename PostFn>
-    Request send(int peer, std::uint32_t sub, PostFn&& post) {
-        return step(true, peer, sub, static_cast<PostFn&&>(post));
-    }
-    template <typename PostFn>
-    Request recv(int peer, std::uint32_t sub, PostFn&& post) {
-        return step(false, peer, sub, static_cast<PostFn&&>(post));
-    }
-
-    // Record the op's final status; returns it unchanged so call sites
-    // read `return tr.done(wait_all(...))`.
-    Status done(Status st) noexcept {
-        status_ = st;
-        return st;
-    }
-
-private:
-    template <typename PostFn>
-    Request step(bool is_send, int peer, std::uint32_t sub, PostFn&& post) {
-        if (!trace::enabled()) return post();
-        const trace::MsgScope scope(trace::next_msg_id());
-        trace::instant("coll", is_send ? "step_send" : "step_recv",
-                       comm_.now(), "op", op_id_, "rank",
-                       static_cast<std::uint64_t>(comm_.rank()), "peer",
-                       static_cast<std::uint64_t>(peer), "sub", sub);
-        return post();
-    }
-
-    Communicator& comm_;
-    const Fam fam_;
-    const Algo algo_;
-    const std::uint64_t op_id_;
-    const SimTime begin_vtime_;
-    std::uint32_t rounds_ = 0;
-    Status status_ = Status::success;
-};
+// One custom-typed object (one element of `type`), and one per peer.
+Payload object(const void* obj, const core::CustomDatatype& type) {
+    return {const_cast<void*>(obj), 1, nullptr, &type};
+}
+template <typename Ptr>
+std::vector<Payload> objects(const Communicator& comm, std::span<Ptr const> objs,
+                             const core::CustomDatatype& type) {
+    std::vector<Payload> out;
+    for (int i = 0; i < comm.size(); ++i)
+        out.push_back(object(objs[static_cast<std::size_t>(i)], type));
+    return out;
+}
 
 } // namespace
 
 // ---------------------------------------------------------------------------
 // Raw bytes
 
-Status gatherv_bytes(Communicator& comm, const void* send, Count sendn,
-                     void* recv, std::span<const Count> recvcounts,
-                     std::span<const Count> displs, int root) {
-    if (!ok(comm.status())) return comm.status();
-    if (root < 0 || root >= comm.size() || sendn < 0) return Status::err_arg;
-    if (sendn > 0 && send == nullptr) return Status::err_arg;
-    const int n = comm.size(), r = comm.rank();
-    if (r == root) {
-        if (!spans_cover(comm, {recvcounts.size(), displs.size()}))
-            return Status::err_arg;
-        if (recvcounts[static_cast<std::size_t>(r)] != sendn)
-            return Status::err_arg;
-        for (int src = 0; src < n; ++src) {
-            const Count c = recvcounts[static_cast<std::size_t>(src)];
-            if (c < 0 || (c > 0 && recv == nullptr)) return Status::err_arg;
-        }
+CollRequest igatherv_bytes(Communicator& comm, const void* send, Count sendn,
+                           void* recv, std::span<const Count> recvcounts,
+                           std::span<const Count> displs, int root) {
+    if (!ok(comm.status())) return error_request(comm.status());
+    if (root < 0 || root >= comm.size() || sendn < 0)
+        return error_request(Status::err_arg);
+    if (sendn > 0 && send == nullptr) return error_request(Status::err_arg);
+    std::vector<Payload> in;
+    if (comm.rank() == root) {
+        if (!blocks_ok(comm, recvcounts, displs, recv) ||
+            recvcounts[static_cast<std::size_t>(root)] != sendn)
+            return error_request(Status::err_arg);
+        in = blocks(comm, recv, recvcounts, displs, nullptr);
     }
-    const auto base = comm.coll_reserve_tags(kStride);
-    note_op();
-    OpScope tr(comm, Fam::gatherv, Algo::flat, base);
-    tr.round();
-    std::vector<Request> reqs;
-    if (r == root) {
-        for (int src = 0; src < n; ++src) {
-            const Count c = recvcounts[static_cast<std::size_t>(src)];
-            if (c == 0) continue;
-            if (src == r) {
-                copy_block(at(recv, displs[static_cast<std::size_t>(src)]), send, c);
-            } else {
-                reqs.push_back(tr.recv(src, 0, [&] {
-                    return comm.coll_irecv_bytes(
-                        at(recv, displs[static_cast<std::size_t>(src)]), c, src,
-                        base);
-                }));
-            }
-        }
-    } else if (sendn > 0) {
-        reqs.push_back(tr.send(root, 0, [&] {
-            return comm.coll_isend_bytes(send, sendn, root, base);
-        }));
-    }
-    return tr.done(wait_all(std::span<Request>(reqs)));
+    return launch(comm, build_gatherv(TopologyMap::create(comm), root,
+                                      Payload::bytes(send, sendn), in));
 }
 
-namespace {
-
-Status allgatherv_flat(Communicator& comm, const void* send, Count sendn,
-                       void* recv, std::span<const Count> counts,
-                       std::span<const Count> displs, std::uint32_t base,
-                       OpScope& tr) {
-    const int n = comm.size(), r = comm.rank();
-    tr.round();
-    std::vector<Request> reqs;
-    for (int peer = 0; peer < n; ++peer) {
-        const Count c = counts[static_cast<std::size_t>(peer)];
-        if (peer == r) {
-            copy_block(at(recv, displs[static_cast<std::size_t>(peer)]), send, c);
-            continue;
-        }
-        if (c > 0)
-            reqs.push_back(tr.recv(peer, 0, [&] {
-                return comm.coll_irecv_bytes(
-                    at(recv, displs[static_cast<std::size_t>(peer)]), c, peer,
-                    base);
-            }));
-        if (sendn > 0)
-            reqs.push_back(tr.send(peer, 0, [&] {
-                return comm.coll_isend_bytes(send, sendn, peer, base);
-            }));
-    }
-    return wait_all(std::span<Request>(reqs));
+CollRequest iallgatherv_bytes(Communicator& comm, const void* send, Count sendn,
+                              void* recv, std::span<const Count> counts,
+                              std::span<const Count> displs) {
+    if (!ok(comm.status())) return error_request(comm.status());
+    if (!blocks_ok(comm, counts, displs, recv) || sendn < 0 ||
+        (sendn > 0 && send == nullptr) ||
+        counts[static_cast<std::size_t>(comm.rank())] != sendn)
+        return error_request(Status::err_arg);
+    const TopologyMap t = TopologyMap::create(comm);
+    return launch(comm, build_allgatherv(t, select_algo(t), Payload::bytes(send, sendn),
+                                         blocks(comm, recv, counts, displs, nullptr)));
 }
 
-// Hierarchical allgatherv: members hand their block to the node leader;
-// leaders exchange ONE aggregated superblock per node pair on the
-// inter-node plane (the packed layout orders blocks by rank, so each
-// node's superblock is contiguous); leaders then push the full packed
-// result to their members, who scatter it into their own displacements.
-Status allgatherv_hier(Communicator& comm, const void* send, Count sendn,
-                       void* recv, std::span<const Count> counts,
-                       std::span<const Count> displs, std::uint32_t base,
-                       const TopologyMap& topo, OpScope& tr) {
-    const int n = comm.size(), r = comm.rank();
-    // Packed offsets: rank i's block at packed[i]; node superblocks are
-    // contiguous because nodes are contiguous rank ranges.
-    std::vector<Count> packed(static_cast<std::size_t>(n) + 1, 0);
-    for (int i = 0; i < n; ++i)
-        packed[static_cast<std::size_t>(i) + 1] =
-            packed[static_cast<std::size_t>(i)] + counts[static_cast<std::size_t>(i)];
-    const Count total = packed[static_cast<std::size_t>(n)];
-
-    const int lead = topo.leader_of(r);
-    if (!topo.is_leader(r)) {
-        // Member: contribute, then take the packed result and scatter it.
-        {
-            tr.round();
-            std::vector<Request> reqs;
-            if (sendn > 0)
-                reqs.push_back(tr.send(lead, 0, [&] {
-                    return comm.coll_isend_bytes(send, sendn, lead, base);
-                }));
-            MPICD_RETURN_IF_ERROR(wait_all(std::span<Request>(reqs)));
-        }
-        std::vector<std::byte> all(static_cast<std::size_t>(total));
-        {
-            tr.round();
-            std::vector<Request> reqs;
-            if (total > 0)
-                reqs.push_back(tr.recv(lead, 2, [&] {
-                    return comm.coll_irecv_bytes(all.data(), total, lead,
-                                                 base + 2);
-                }));
-            MPICD_RETURN_IF_ERROR(wait_all(std::span<Request>(reqs)));
-        }
-        for (int i = 0; i < n; ++i)
-            copy_block(at(recv, displs[static_cast<std::size_t>(i)]),
-                       all.data() + packed[static_cast<std::size_t>(i)],
-                       counts[static_cast<std::size_t>(i)]);
-        return Status::success;
-    }
-
-    // Leader: assemble the packed buffer from the node's contributions.
-    const int b = topo.node_of(r);
-    std::vector<std::byte> all(static_cast<std::size_t>(total));
-    {
-        tr.round();
-        std::vector<Request> reqs;
-        for (int m = topo.node_begin(b); m < topo.node_end(b); ++m) {
-            const Count c = counts[static_cast<std::size_t>(m)];
-            if (m == r) {
-                copy_block(all.data() + packed[static_cast<std::size_t>(m)], send, c);
-            } else if (c > 0) {
-                reqs.push_back(tr.recv(m, 0, [&] {
-                    return comm.coll_irecv_bytes(
-                        all.data() + packed[static_cast<std::size_t>(m)], c, m,
-                        base);
-                }));
-            }
-        }
-        MPICD_RETURN_IF_ERROR(wait_all(std::span<Request>(reqs)));
-    }
-    {
-        // Superblock exchange with every other leader (inter-node plane).
-        tr.round();
-        const Count own_off = packed[static_cast<std::size_t>(topo.node_begin(b))];
-        const Count own_len =
-            packed[static_cast<std::size_t>(topo.node_end(b))] - own_off;
-        std::vector<Request> reqs;
-        for (int bb = 0; bb < topo.node_count; ++bb) {
-            if (bb == b) continue;
-            const int peer = topo.node_begin(bb);
-            const Count off = packed[static_cast<std::size_t>(topo.node_begin(bb))];
-            const Count len =
-                packed[static_cast<std::size_t>(topo.node_end(bb))] - off;
-            if (len > 0)
-                reqs.push_back(tr.recv(peer, 1, [&] {
-                    return comm.coll_irecv_bytes(all.data() + off, len, peer,
-                                                 base + 1);
-                }));
-            if (own_len > 0) {
-                coll_counters().leader_bytes.fetch_add(
-                    static_cast<std::uint64_t>(own_len), std::memory_order_relaxed);
-                reqs.push_back(tr.send(peer, 1, [&] {
-                    return comm.coll_isend_bytes(all.data() + own_off, own_len,
-                                                 peer, base + 1);
-                }));
-            }
-        }
-        MPICD_RETURN_IF_ERROR(wait_all(std::span<Request>(reqs)));
-    }
-    {
-        // Push the packed result to the node's members.
-        tr.round();
-        std::vector<Request> reqs;
-        for (int m = topo.node_begin(b); m < topo.node_end(b); ++m) {
-            if (m == r || total == 0) continue;
-            reqs.push_back(tr.send(m, 2, [&] {
-                return comm.coll_isend_bytes(all.data(), total, m, base + 2);
-            }));
-        }
-        MPICD_RETURN_IF_ERROR(wait_all(std::span<Request>(reqs)));
-    }
-    for (int i = 0; i < n; ++i)
-        copy_block(at(recv, displs[static_cast<std::size_t>(i)]),
-                   all.data() + packed[static_cast<std::size_t>(i)],
-                   counts[static_cast<std::size_t>(i)]);
-    return Status::success;
-}
-
-} // namespace
-
-Status allgatherv_bytes(Communicator& comm, const void* send, Count sendn,
-                        void* recv, std::span<const Count> counts,
-                        std::span<const Count> displs) {
-    if (!ok(comm.status())) return comm.status();
-    if (!spans_cover(comm, {counts.size(), displs.size()})) return Status::err_arg;
-    if (sendn < 0 || (sendn > 0 && send == nullptr)) return Status::err_arg;
-    if (counts[static_cast<std::size_t>(comm.rank())] != sendn)
-        return Status::err_arg;
-    for (int i = 0; i < comm.size(); ++i) {
-        const Count c = counts[static_cast<std::size_t>(i)];
-        if (c < 0 || (c > 0 && recv == nullptr)) return Status::err_arg;
-    }
-    const auto base = comm.coll_reserve_tags(kStride);
-    note_op();
-    const TopologyMap topo = TopologyMap::create(comm);
-    const Algo algo = select_algo(topo);
-    OpScope tr(comm, Fam::allgatherv, algo, base);
-    if (algo == Algo::hier)
-        return tr.done(allgatherv_hier(comm, send, sendn, recv, counts, displs,
-                                       base, topo, tr));
-    return tr.done(
-        allgatherv_flat(comm, send, sendn, recv, counts, displs, base, tr));
-}
-
-Status alltoallv_bytes(Communicator& comm, const void* send,
-                       std::span<const Count> sendcounts,
-                       std::span<const Count> sdispls, void* recv,
-                       std::span<const Count> recvcounts,
-                       std::span<const Count> rdispls) {
-    if (!ok(comm.status())) return comm.status();
-    if (!spans_cover(comm, {sendcounts.size(), sdispls.size(), recvcounts.size(),
-                            rdispls.size()}))
-        return Status::err_arg;
-    const int n = comm.size(), r = comm.rank();
-    for (int peer = 0; peer < n; ++peer) {
-        const Count sc = sendcounts[static_cast<std::size_t>(peer)];
-        const Count rc = recvcounts[static_cast<std::size_t>(peer)];
-        if (sc < 0 || rc < 0) return Status::err_arg;
-        if (sc > 0 && send == nullptr) return Status::err_arg;
-        if (rc > 0 && recv == nullptr) return Status::err_arg;
-    }
-    if (sendcounts[static_cast<std::size_t>(r)] !=
-        recvcounts[static_cast<std::size_t>(r)])
-        return Status::err_arg;
-    const auto base = comm.coll_reserve_tags(kStride);
-    note_op();
-    OpScope tr(comm, Fam::alltoallv, Algo::flat, base);
-    tr.round();
-    std::vector<Request> reqs;
-    for (int peer = 0; peer < n; ++peer) {
-        const Count sc = sendcounts[static_cast<std::size_t>(peer)];
-        const Count rc = recvcounts[static_cast<std::size_t>(peer)];
-        if (peer == r) {
-            copy_block(at(recv, rdispls[static_cast<std::size_t>(peer)]),
-                       at(send, sdispls[static_cast<std::size_t>(peer)]), sc);
-            continue;
-        }
-        if (rc > 0)
-            reqs.push_back(tr.recv(peer, 0, [&] {
-                return comm.coll_irecv_bytes(
-                    at(recv, rdispls[static_cast<std::size_t>(peer)]), rc, peer,
-                    base);
-            }));
-        if (sc > 0)
-            reqs.push_back(tr.send(peer, 0, [&] {
-                return comm.coll_isend_bytes(
-                    at(send, sdispls[static_cast<std::size_t>(peer)]), sc, peer,
-                    base);
-            }));
-    }
-    return tr.done(wait_all(std::span<Request>(reqs)));
+CollRequest ialltoallv_bytes(Communicator& comm, const void* send,
+                             std::span<const Count> sendcounts,
+                             std::span<const Count> sdispls, void* recv,
+                             std::span<const Count> recvcounts,
+                             std::span<const Count> rdispls) {
+    if (!ok(comm.status())) return error_request(comm.status());
+    if (!blocks_ok(comm, sendcounts, sdispls, send) ||
+        !blocks_ok(comm, recvcounts, rdispls, recv))
+        return error_request(Status::err_arg);
+    const auto r = static_cast<std::size_t>(comm.rank());
+    if (sendcounts[r] != recvcounts[r]) return error_request(Status::err_arg);
+    return launch(comm, build_alltoallv(TopologyMap::create(comm),
+                                        blocks(comm, send, sendcounts, sdispls, nullptr),
+                                        blocks(comm, recv, recvcounts, rdispls, nullptr)));
 }
 
 // ---------------------------------------------------------------------------
-// Derived datatypes
+// Derived datatypes. Typed self-delivery goes through the loopback link so
+// the send/receive type pair is honored like any other rank's.
 
-Status gatherv(Communicator& comm, const void* send, Count sendcount,
-               const dt::TypeRef& sendtype, void* recv,
-               std::span<const Count> recvcounts, std::span<const Count> displs,
-               const dt::TypeRef& recvtype, int root) {
-    if (!ok(comm.status())) return comm.status();
-    if (root < 0 || root >= comm.size() || sendcount < 0) return Status::err_arg;
-    if (sendtype == nullptr) return Status::err_arg;
-    if (!sendtype->committed()) return Status::err_not_committed;
-    const int n = comm.size(), r = comm.rank();
-    if (r == root) {
-        if (recvtype == nullptr) return Status::err_arg;
-        if (!recvtype->committed()) return Status::err_not_committed;
-        if (!spans_cover(comm, {recvcounts.size(), displs.size()}))
-            return Status::err_arg;
-        for (int src = 0; src < n; ++src)
-            if (recvcounts[static_cast<std::size_t>(src)] < 0)
-                return Status::err_arg;
+CollRequest igatherv(Communicator& comm, const void* send, Count sendcount,
+                     const dt::TypeRef& sendtype, void* recv,
+                     std::span<const Count> recvcounts, std::span<const Count> displs,
+                     const dt::TypeRef& recvtype, int root) {
+    if (!ok(comm.status())) return error_request(comm.status());
+    if (root < 0 || root >= comm.size() || sendcount < 0)
+        return error_request(Status::err_arg);
+    if (const Status st = type_status(sendtype); !ok(st)) return error_request(st);
+    std::vector<Payload> in;
+    if (comm.rank() == root) {
+        if (const Status st = type_status(recvtype); !ok(st)) return error_request(st);
+        if (!blocks_ok(comm, recvcounts, displs, recv))
+            return error_request(Status::err_arg);
+        in = blocks(comm, recv, recvcounts, displs, recvtype);
     }
-    const auto base = comm.coll_reserve_tags(kStride);
-    note_op();
-    OpScope tr(comm, Fam::gatherv, Algo::flat, base);
-    tr.round();
-    std::vector<Request> reqs;
-    if (r == root) {
-        for (int src = 0; src < n; ++src) {
-            const Count c = recvcounts[static_cast<std::size_t>(src)];
-            if (c == 0) continue;
-            void* dst = at(recv, displs[static_cast<std::size_t>(src)] *
-                                     recvtype->extent());
-            // Typed self-delivery goes through the loopback link so the
-            // send/receive type pair is honored like any other rank's.
-            reqs.push_back(tr.recv(src, 0, [&] {
-                return comm.coll_irecv(dst, c, recvtype, src, base);
-            }));
-        }
-        if (sendcount > 0)
-            reqs.push_back(tr.send(r, 0, [&] {
-                return comm.coll_isend(send, sendcount, sendtype, r, base);
-            }));
-    } else if (sendcount > 0) {
-        reqs.push_back(tr.send(root, 0, [&] {
-            return comm.coll_isend(send, sendcount, sendtype, root, base);
-        }));
-    }
-    return tr.done(wait_all(std::span<Request>(reqs)));
+    return launch(comm, build_gatherv(TopologyMap::create(comm), root,
+                                      Payload{const_cast<void*>(send), sendcount,
+                                              sendtype, nullptr},
+                                      in));
 }
 
-Status allgatherv(Communicator& comm, const void* send, Count sendcount,
-                  const dt::TypeRef& sendtype, void* recv,
-                  std::span<const Count> recvcounts, std::span<const Count> displs,
-                  const dt::TypeRef& recvtype) {
-    if (!ok(comm.status())) return comm.status();
-    if (sendtype == nullptr || recvtype == nullptr || sendcount < 0)
-        return Status::err_arg;
-    if (!sendtype->committed() || !recvtype->committed())
-        return Status::err_not_committed;
-    if (!spans_cover(comm, {recvcounts.size(), displs.size()}))
-        return Status::err_arg;
-    const int n = comm.size();
-    for (int i = 0; i < n; ++i)
-        if (recvcounts[static_cast<std::size_t>(i)] < 0) return Status::err_arg;
-    const auto base = comm.coll_reserve_tags(kStride);
-    note_op();
-    OpScope tr(comm, Fam::allgatherv, Algo::flat, base);
-    tr.round();
-    std::vector<Request> reqs;
-    for (int peer = 0; peer < n; ++peer) {
-        const Count c = recvcounts[static_cast<std::size_t>(peer)];
-        if (c > 0) {
-            void* dst = at(recv, displs[static_cast<std::size_t>(peer)] *
-                                     recvtype->extent());
-            reqs.push_back(tr.recv(peer, 0, [&] {
-                return comm.coll_irecv(dst, c, recvtype, peer, base);
-            }));
-        }
-        if (sendcount > 0)
-            reqs.push_back(tr.send(peer, 0, [&] {
-                return comm.coll_isend(send, sendcount, sendtype, peer, base);
-            }));
-    }
-    return tr.done(wait_all(std::span<Request>(reqs)));
+CollRequest iallgatherv(Communicator& comm, const void* send, Count sendcount,
+                        const dt::TypeRef& sendtype, void* recv,
+                        std::span<const Count> recvcounts,
+                        std::span<const Count> displs, const dt::TypeRef& recvtype) {
+    if (!ok(comm.status())) return error_request(comm.status());
+    if (sendcount < 0) return error_request(Status::err_arg);
+    for (const dt::TypeRef* type : {&sendtype, &recvtype})
+        if (const Status st = type_status(*type); !ok(st)) return error_request(st);
+    if (!blocks_ok(comm, recvcounts, displs, recv)) return error_request(Status::err_arg);
+    return launch(comm, build_allgatherv(
+                            TopologyMap::create(comm), Algo::flat,
+                            Payload{const_cast<void*>(send), sendcount, sendtype, nullptr},
+                            blocks(comm, recv, recvcounts, displs, recvtype)));
 }
 
-Status alltoallv(Communicator& comm, const void* send,
-                 std::span<const Count> sendcounts, std::span<const Count> sdispls,
-                 const dt::TypeRef& sendtype, void* recv,
-                 std::span<const Count> recvcounts, std::span<const Count> rdispls,
-                 const dt::TypeRef& recvtype) {
-    if (!ok(comm.status())) return comm.status();
-    if (sendtype == nullptr || recvtype == nullptr) return Status::err_arg;
-    if (!sendtype->committed() || !recvtype->committed())
-        return Status::err_not_committed;
-    if (!spans_cover(comm, {sendcounts.size(), sdispls.size(), recvcounts.size(),
-                            rdispls.size()}))
-        return Status::err_arg;
-    const int n = comm.size();
-    for (int i = 0; i < n; ++i)
-        if (sendcounts[static_cast<std::size_t>(i)] < 0 ||
-            recvcounts[static_cast<std::size_t>(i)] < 0)
-            return Status::err_arg;
-    const auto base = comm.coll_reserve_tags(kStride);
-    note_op();
-    OpScope tr(comm, Fam::alltoallv, Algo::flat, base);
-    tr.round();
-    std::vector<Request> reqs;
-    for (int peer = 0; peer < n; ++peer) {
-        const Count sc = sendcounts[static_cast<std::size_t>(peer)];
-        const Count rc = recvcounts[static_cast<std::size_t>(peer)];
-        if (rc > 0) {
-            void* dst = at(recv, rdispls[static_cast<std::size_t>(peer)] *
-                                     recvtype->extent());
-            reqs.push_back(tr.recv(peer, 0, [&] {
-                return comm.coll_irecv(dst, rc, recvtype, peer, base);
-            }));
-        }
-        if (sc > 0) {
-            const void* src = at(send, sdispls[static_cast<std::size_t>(peer)] *
-                                           sendtype->extent());
-            reqs.push_back(tr.send(peer, 0, [&] {
-                return comm.coll_isend(src, sc, sendtype, peer, base);
-            }));
-        }
-    }
-    return tr.done(wait_all(std::span<Request>(reqs)));
+CollRequest ialltoallv(Communicator& comm, const void* send,
+                       std::span<const Count> sendcounts, std::span<const Count> sdispls,
+                       const dt::TypeRef& sendtype, void* recv,
+                       std::span<const Count> recvcounts, std::span<const Count> rdispls,
+                       const dt::TypeRef& recvtype) {
+    if (!ok(comm.status())) return error_request(comm.status());
+    for (const dt::TypeRef* type : {&sendtype, &recvtype})
+        if (const Status st = type_status(*type); !ok(st)) return error_request(st);
+    if (!blocks_ok(comm, sendcounts, sdispls, send) ||
+        !blocks_ok(comm, recvcounts, rdispls, recv))
+        return error_request(Status::err_arg);
+    return launch(comm, build_alltoallv(TopologyMap::create(comm),
+                                        blocks(comm, send, sendcounts, sdispls, sendtype),
+                                        blocks(comm, recv, recvcounts, rdispls, recvtype)));
 }
 
 // ---------------------------------------------------------------------------
 // Custom datatypes (object granularity; receiver-side §VI size contract)
 
-Status gatherv_custom(Communicator& comm, const void* send,
-                      const core::CustomDatatype& type,
-                      std::span<void* const> recv, int root) {
-    if (!ok(comm.status())) return comm.status();
-    if (root < 0 || root >= comm.size() || send == nullptr) return Status::err_arg;
-    const int n = comm.size(), r = comm.rank();
-    if (r == root) {
-        if (recv.size() < static_cast<std::size_t>(n)) return Status::err_arg;
-        for (int src = 0; src < n; ++src)
-            if (recv[static_cast<std::size_t>(src)] == nullptr)
-                return Status::err_arg;
-    }
-    const auto base = comm.coll_reserve_tags(kStride);
-    note_op();
-    OpScope tr(comm, Fam::gatherv, Algo::flat, base);
-    tr.round();
-    std::vector<Request> reqs;
-    if (r == root) {
-        for (int src = 0; src < n; ++src)
-            reqs.push_back(tr.recv(src, 0, [&] {
-                return comm.coll_irecv_custom(
-                    recv[static_cast<std::size_t>(src)], 1, type, src, base);
-            }));
+CollRequest igatherv_custom(Communicator& comm, const void* send,
+                            const core::CustomDatatype& type,
+                            std::span<void* const> recv, int root) {
+    if (!ok(comm.status())) return error_request(comm.status());
+    if (root < 0 || root >= comm.size() || send == nullptr)
+        return error_request(Status::err_arg);
+    std::vector<Payload> in;
+    if (comm.rank() == root) {
+        if (!objects_ok(comm, recv)) return error_request(Status::err_arg);
+        in = objects(comm, recv, type);
     }
     // Every rank — including the root, via the loopback link, so the
     // pack/unpack callbacks run for its own object too — contributes one
     // object.
-    reqs.push_back(tr.send(root, 0, [&] {
-        return comm.coll_isend_custom(send, 1, type, root, base);
-    }));
-    return tr.done(wait_all(std::span<Request>(reqs)));
+    return launch(comm, build_gatherv(TopologyMap::create(comm), root,
+                                      object(send, type), in));
 }
 
-Status allgatherv_custom(Communicator& comm, const void* send,
-                         const core::CustomDatatype& type,
-                         std::span<void* const> recv) {
-    if (!ok(comm.status())) return comm.status();
-    if (send == nullptr) return Status::err_arg;
-    const int n = comm.size();
-    if (recv.size() < static_cast<std::size_t>(n)) return Status::err_arg;
-    for (int peer = 0; peer < n; ++peer)
-        if (recv[static_cast<std::size_t>(peer)] == nullptr)
-            return Status::err_arg;
-    const auto base = comm.coll_reserve_tags(kStride);
-    note_op();
-    OpScope tr(comm, Fam::allgatherv, Algo::flat, base);
-    tr.round();
-    std::vector<Request> reqs;
-    for (int peer = 0; peer < n; ++peer) {
-        reqs.push_back(tr.recv(peer, 0, [&] {
-            return comm.coll_irecv_custom(recv[static_cast<std::size_t>(peer)],
-                                          1, type, peer, base);
-        }));
-        reqs.push_back(tr.send(peer, 0, [&] {
-            return comm.coll_isend_custom(send, 1, type, peer, base);
-        }));
-    }
-    return tr.done(wait_all(std::span<Request>(reqs)));
+CollRequest iallgatherv_custom(Communicator& comm, const void* send,
+                               const core::CustomDatatype& type,
+                               std::span<void* const> recv) {
+    if (!ok(comm.status())) return error_request(comm.status());
+    if (send == nullptr || !objects_ok(comm, recv)) return error_request(Status::err_arg);
+    return launch(comm, build_allgatherv(TopologyMap::create(comm), Algo::flat,
+                                         object(send, type), objects(comm, recv, type)));
 }
 
-Status alltoallv_custom(Communicator& comm, std::span<const void* const> send,
-                        std::span<void* const> recv,
-                        const core::CustomDatatype& type) {
-    if (!ok(comm.status())) return comm.status();
-    const int n = comm.size();
-    if (send.size() < static_cast<std::size_t>(n) ||
-        recv.size() < static_cast<std::size_t>(n))
-        return Status::err_arg;
-    for (int peer = 0; peer < n; ++peer)
-        if (send[static_cast<std::size_t>(peer)] == nullptr ||
-            recv[static_cast<std::size_t>(peer)] == nullptr)
-            return Status::err_arg;
-    const auto base = comm.coll_reserve_tags(kStride);
-    note_op();
-    OpScope tr(comm, Fam::alltoallv, Algo::flat, base);
-    tr.round();
-    std::vector<Request> reqs;
-    for (int peer = 0; peer < n; ++peer) {
-        reqs.push_back(tr.recv(peer, 0, [&] {
-            return comm.coll_irecv_custom(recv[static_cast<std::size_t>(peer)],
-                                          1, type, peer, base);
-        }));
-        reqs.push_back(tr.send(peer, 0, [&] {
-            return comm.coll_isend_custom(
-                send[static_cast<std::size_t>(peer)], 1, type, peer, base);
-        }));
-    }
-    return tr.done(wait_all(std::span<Request>(reqs)));
+CollRequest ialltoallv_custom(Communicator& comm, std::span<const void* const> send,
+                              std::span<void* const> recv,
+                              const core::CustomDatatype& type) {
+    if (!ok(comm.status())) return error_request(comm.status());
+    if (!objects_ok(comm, send) || !objects_ok(comm, recv))
+        return error_request(Status::err_arg);
+    return launch(comm, build_alltoallv(TopologyMap::create(comm),
+                                        objects(comm, send, type),
+                                        objects(comm, recv, type)));
 }
 
 } // namespace mpicd::p2p::coll

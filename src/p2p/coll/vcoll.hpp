@@ -18,9 +18,16 @@
 // direct point-to-point exchange on the collective tag plane. Zero-count
 // blocks move no wire traffic on either side.
 //
-// All functions block and must be entered by every rank in the same
-// order. Spans must hold comm.size() entries (err_arg otherwise; counts
-// at non-root ranks of gatherv are not read and may be empty).
+// Every variant is a schedule run by the one collective executor, so the
+// i-forms return a CollRequest like the fixed-size nonblocking collectives
+// (and share their loss watchdog); the blocking forms wait on it. Count,
+// displacement and object-pointer spans are read only during the call;
+// the buffers they describe follow the nonblocking buffer contract (valid
+// and, for sends, unmodified until the request completes).
+//
+// Every rank must enter the collectives in the same order. Spans must hold
+// comm.size() entries (err_arg otherwise; counts at non-root ranks of
+// gatherv are not read and may be empty).
 #pragma once
 
 #include <span>
@@ -30,56 +37,126 @@
 namespace mpicd::p2p::coll {
 
 // --- Raw bytes (counts/displacements in bytes). ---------------------------
-[[nodiscard]] Status gatherv_bytes(Communicator& comm, const void* send,
-                                   Count sendn, void* recv,
-                                   std::span<const Count> recvcounts,
-                                   std::span<const Count> displs, int root);
-[[nodiscard]] Status allgatherv_bytes(Communicator& comm, const void* send,
-                                      Count sendn, void* recv,
-                                      std::span<const Count> counts,
-                                      std::span<const Count> displs);
-[[nodiscard]] Status alltoallv_bytes(Communicator& comm, const void* send,
-                                     std::span<const Count> sendcounts,
-                                     std::span<const Count> sdispls, void* recv,
-                                     std::span<const Count> recvcounts,
-                                     std::span<const Count> rdispls);
+[[nodiscard]] CollRequest igatherv_bytes(Communicator& comm, const void* send,
+                                         Count sendn, void* recv,
+                                         std::span<const Count> recvcounts,
+                                         std::span<const Count> displs, int root);
+[[nodiscard]] CollRequest iallgatherv_bytes(Communicator& comm, const void* send,
+                                            Count sendn, void* recv,
+                                            std::span<const Count> counts,
+                                            std::span<const Count> displs);
+[[nodiscard]] CollRequest ialltoallv_bytes(Communicator& comm, const void* send,
+                                           std::span<const Count> sendcounts,
+                                           std::span<const Count> sdispls,
+                                           void* recv,
+                                           std::span<const Count> recvcounts,
+                                           std::span<const Count> rdispls);
 
 // --- Derived datatypes (counts in elements, displacements in elements of
 // the receive type's extent, as in MPI). -----------------------------------
-[[nodiscard]] Status gatherv(Communicator& comm, const void* send, Count sendcount,
-                             const dt::TypeRef& sendtype, void* recv,
-                             std::span<const Count> recvcounts,
-                             std::span<const Count> displs,
-                             const dt::TypeRef& recvtype, int root);
-[[nodiscard]] Status allgatherv(Communicator& comm, const void* send,
-                                Count sendcount, const dt::TypeRef& sendtype,
-                                void* recv, std::span<const Count> recvcounts,
-                                std::span<const Count> displs,
-                                const dt::TypeRef& recvtype);
-[[nodiscard]] Status alltoallv(Communicator& comm, const void* send,
-                               std::span<const Count> sendcounts,
-                               std::span<const Count> sdispls,
-                               const dt::TypeRef& sendtype, void* recv,
-                               std::span<const Count> recvcounts,
-                               std::span<const Count> rdispls,
-                               const dt::TypeRef& recvtype);
+[[nodiscard]] CollRequest igatherv(Communicator& comm, const void* send,
+                                   Count sendcount, const dt::TypeRef& sendtype,
+                                   void* recv, std::span<const Count> recvcounts,
+                                   std::span<const Count> displs,
+                                   const dt::TypeRef& recvtype, int root);
+[[nodiscard]] CollRequest iallgatherv(Communicator& comm, const void* send,
+                                      Count sendcount, const dt::TypeRef& sendtype,
+                                      void* recv, std::span<const Count> recvcounts,
+                                      std::span<const Count> displs,
+                                      const dt::TypeRef& recvtype);
+[[nodiscard]] CollRequest ialltoallv(Communicator& comm, const void* send,
+                                     std::span<const Count> sendcounts,
+                                     std::span<const Count> sdispls,
+                                     const dt::TypeRef& sendtype, void* recv,
+                                     std::span<const Count> recvcounts,
+                                     std::span<const Count> rdispls,
+                                     const dt::TypeRef& recvtype);
 
 // --- Custom datatypes (one object per rank pair; see the header note).
 // gatherv_custom: `recv` holds comm.size() pre-shaped objects at the root
 // (ignored elsewhere; recv[root] receives the root's own object through a
 // loopback transfer so the pack/unpack callbacks run for it too).
-[[nodiscard]] Status gatherv_custom(Communicator& comm, const void* send,
-                                    const core::CustomDatatype& type,
-                                    std::span<void* const> recv, int root);
+[[nodiscard]] CollRequest igatherv_custom(Communicator& comm, const void* send,
+                                          const core::CustomDatatype& type,
+                                          std::span<void* const> recv, int root);
 // allgatherv_custom: every rank passes comm.size() pre-shaped objects.
-[[nodiscard]] Status allgatherv_custom(Communicator& comm, const void* send,
-                                       const core::CustomDatatype& type,
-                                       std::span<void* const> recv);
+[[nodiscard]] CollRequest iallgatherv_custom(Communicator& comm, const void* send,
+                                             const core::CustomDatatype& type,
+                                             std::span<void* const> recv);
 // alltoallv_custom: `send` holds one object per destination rank, `recv`
 // one pre-shaped object per source rank.
-[[nodiscard]] Status alltoallv_custom(Communicator& comm,
-                                      std::span<const void* const> send,
-                                      std::span<void* const> recv,
-                                      const core::CustomDatatype& type);
+[[nodiscard]] CollRequest ialltoallv_custom(Communicator& comm,
+                                            std::span<const void* const> send,
+                                            std::span<void* const> recv,
+                                            const core::CustomDatatype& type);
+
+// --- Blocking forms. -------------------------------------------------------
+[[nodiscard]] inline Status gatherv_bytes(Communicator& comm, const void* send,
+                                          Count sendn, void* recv,
+                                          std::span<const Count> recvcounts,
+                                          std::span<const Count> displs, int root) {
+    return igatherv_bytes(comm, send, sendn, recv, recvcounts, displs, root).wait();
+}
+[[nodiscard]] inline Status allgatherv_bytes(Communicator& comm, const void* send,
+                                             Count sendn, void* recv,
+                                             std::span<const Count> counts,
+                                             std::span<const Count> displs) {
+    return iallgatherv_bytes(comm, send, sendn, recv, counts, displs).wait();
+}
+[[nodiscard]] inline Status alltoallv_bytes(Communicator& comm, const void* send,
+                                            std::span<const Count> sendcounts,
+                                            std::span<const Count> sdispls,
+                                            void* recv,
+                                            std::span<const Count> recvcounts,
+                                            std::span<const Count> rdispls) {
+    return ialltoallv_bytes(comm, send, sendcounts, sdispls, recv, recvcounts,
+                            rdispls)
+        .wait();
+}
+[[nodiscard]] inline Status gatherv(Communicator& comm, const void* send,
+                                    Count sendcount, const dt::TypeRef& sendtype,
+                                    void* recv, std::span<const Count> recvcounts,
+                                    std::span<const Count> displs,
+                                    const dt::TypeRef& recvtype, int root) {
+    return igatherv(comm, send, sendcount, sendtype, recv, recvcounts, displs,
+                    recvtype, root)
+        .wait();
+}
+[[nodiscard]] inline Status allgatherv(Communicator& comm, const void* send,
+                                       Count sendcount, const dt::TypeRef& sendtype,
+                                       void* recv, std::span<const Count> recvcounts,
+                                       std::span<const Count> displs,
+                                       const dt::TypeRef& recvtype) {
+    return iallgatherv(comm, send, sendcount, sendtype, recv, recvcounts, displs,
+                       recvtype)
+        .wait();
+}
+[[nodiscard]] inline Status alltoallv(Communicator& comm, const void* send,
+                                      std::span<const Count> sendcounts,
+                                      std::span<const Count> sdispls,
+                                      const dt::TypeRef& sendtype, void* recv,
+                                      std::span<const Count> recvcounts,
+                                      std::span<const Count> rdispls,
+                                      const dt::TypeRef& recvtype) {
+    return ialltoallv(comm, send, sendcounts, sdispls, sendtype, recv, recvcounts,
+                      rdispls, recvtype)
+        .wait();
+}
+[[nodiscard]] inline Status gatherv_custom(Communicator& comm, const void* send,
+                                           const core::CustomDatatype& type,
+                                           std::span<void* const> recv, int root) {
+    return igatherv_custom(comm, send, type, recv, root).wait();
+}
+[[nodiscard]] inline Status allgatherv_custom(Communicator& comm, const void* send,
+                                              const core::CustomDatatype& type,
+                                              std::span<void* const> recv) {
+    return iallgatherv_custom(comm, send, type, recv).wait();
+}
+[[nodiscard]] inline Status alltoallv_custom(Communicator& comm,
+                                             std::span<const void* const> send,
+                                             std::span<void* const> recv,
+                                             const core::CustomDatatype& type) {
+    return ialltoallv_custom(comm, send, recv, type).wait();
+}
 
 } // namespace mpicd::p2p::coll

@@ -8,6 +8,7 @@
 #include "base/log.hpp"
 #include "base/trace.hpp"
 #include "core/traits.hpp"
+#include "p2p/coll/schedule.hpp"
 #include "p2p/dt_bridge.hpp"
 #include "p2p/universe.hpp"
 
@@ -84,6 +85,10 @@ bool Request::test(MsgStatus* out) {
     if (poll(out)) return true;
     uni_->progress(worker_->endpoint());
     return poll(out);
+}
+
+bool Request::cancel() {
+    return !done_ && valid() && worker_->cancel_recv(id_);
 }
 
 MsgStatus Request::wait() {
@@ -185,74 +190,39 @@ std::uint32_t Communicator::coll_reserve_tags(std::uint32_t n) {
     return coll_epoch_.fetch_add(n, std::memory_order_relaxed);
 }
 
-Request Communicator::coll_isend_bytes(const void* p, Count n, int dst,
-                                       std::uint32_t ctag) {
-    if (n < 0) return make_error_request(Status::err_arg);
-    if (const Status st = check_coll_peer(dst); !ok(st))
-        return make_error_request(st);
-    return make_request(worker_.tag_send(dst, encode_coll_send_tag(ctag),
-                                         ucx::make_contig_send(p, n)));
-}
-
-Request Communicator::coll_irecv_bytes(void* p, Count n, int src,
-                                       std::uint32_t ctag) {
-    if (n < 0) return make_error_request(Status::err_arg);
-    if (const Status st = check_coll_peer(src); !ok(st))
-        return make_error_request(st);
-    ucx::Tag t = 0, mask = 0;
-    encode_coll_recv_tag(src, ctag, &t, &mask);
-    return make_request(worker_.tag_recv(t, mask, ucx::make_contig_recv(p, n)));
-}
-
-Request Communicator::coll_isend(const void* buf, Count count,
-                                 const dt::TypeRef& type, int dst,
+Request Communicator::coll_isend(const coll::Payload& p, int dst,
                                  std::uint32_t ctag) {
-    if (type == nullptr || count < 0) return make_error_request(Status::err_arg);
+    if (p.count < 0) return make_error_request(Status::err_arg);
     if (const Status st = check_coll_peer(dst); !ok(st))
         return make_error_request(st);
-    if (!type->committed()) return make_error_request(Status::err_not_committed);
-    if (type->is_contiguous()) {
+    if (p.type != nullptr && !p.type->committed())
+        return make_error_request(Status::err_not_committed);
+    const ucx::Tag t = encode_coll_send_tag(ctag);
+    if (p.custom != nullptr)
+        return isend_custom_wiretag(p.buf, p.count, *p.custom, dst, t,
+                                    core::CustomLowering::iov);
+    if (p.type == nullptr || p.type->is_contiguous())
         return make_request(
-            worker_.tag_send(dst, encode_coll_send_tag(ctag),
-                             ucx::make_contig_send(buf, type->size() * count)));
-    }
-    return make_request(worker_.tag_send(dst, encode_coll_send_tag(ctag),
-                                         dt_send_desc(type, buf, count)));
+            worker_.tag_send(dst, t, ucx::make_contig_send(p.buf, p.wire_bytes())));
+    return make_request(worker_.tag_send(dst, t, dt_send_desc(p.type, p.buf, p.count)));
 }
 
-Request Communicator::coll_irecv(void* buf, Count count, const dt::TypeRef& type,
-                                 int src, std::uint32_t ctag) {
-    if (type == nullptr || count < 0) return make_error_request(Status::err_arg);
+Request Communicator::coll_irecv(const coll::Payload& p, int src,
+                                 std::uint32_t ctag) {
+    if (p.count < 0) return make_error_request(Status::err_arg);
     if (const Status st = check_coll_peer(src); !ok(st))
         return make_error_request(st);
-    if (!type->committed()) return make_error_request(Status::err_not_committed);
+    if (p.type != nullptr && !p.type->committed())
+        return make_error_request(Status::err_not_committed);
     ucx::Tag t = 0, mask = 0;
     encode_coll_recv_tag(src, ctag, &t, &mask);
-    if (type->is_contiguous()) {
-        return make_request(worker_.tag_recv(
-            t, mask, ucx::make_contig_recv(buf, type->size() * count)));
-    }
-    return make_request(worker_.tag_recv(t, mask, dt_recv_desc(type, buf, count)));
-}
-
-Request Communicator::coll_isend_custom(const void* buf, Count count,
-                                        const core::CustomDatatype& type, int dst,
-                                        std::uint32_t ctag) {
-    if (const Status st = check_coll_peer(dst); !ok(st))
-        return make_error_request(st);
-    return isend_custom_wiretag(buf, count, type, dst, encode_coll_send_tag(ctag),
-                                core::CustomLowering::iov);
-}
-
-Request Communicator::coll_irecv_custom(void* buf, Count count,
-                                        const core::CustomDatatype& type, int src,
-                                        std::uint32_t ctag) {
-    if (const Status st = check_coll_peer(src); !ok(st))
-        return make_error_request(st);
-    ucx::Tag t = 0, mask = 0;
-    encode_coll_recv_tag(src, ctag, &t, &mask);
-    return irecv_custom_wiretag(buf, count, type, t, mask,
-                                core::CustomLowering::iov);
+    if (p.custom != nullptr)
+        return irecv_custom_wiretag(p.buf, p.count, *p.custom, t, mask,
+                                    core::CustomLowering::iov);
+    if (p.type == nullptr || p.type->is_contiguous())
+        return make_request(
+            worker_.tag_recv(t, mask, ucx::make_contig_recv(p.buf, p.wire_bytes())));
+    return make_request(worker_.tag_recv(t, mask, dt_recv_desc(p.type, p.buf, p.count)));
 }
 
 Request Communicator::make_request(ucx::RequestId id) {
@@ -401,10 +371,12 @@ Request Communicator::isend_custom_wiretag(const void* buf, Count count,
                                            const core::CustomDatatype& type,
                                            int dst, ucx::Tag wire_tag,
                                            core::CustomLowering lowering) {
-    // Allocate the message id before lowering so the engine's pack/lowering
+    // Fix the message id before lowering so the engine's pack/lowering
     // spans and the transport's wire events all carry one id (tag_send
-    // adopts an open scope instead of allocating its own).
-    const trace::MsgScope msg_scope(trace::next_msg_id());
+    // adopts an open scope instead of allocating its own). A caller's open
+    // scope (a collective step) names the message; otherwise allocate one.
+    const std::uint64_t open_msg = trace::current_msg();
+    const trace::MsgScope msg_scope(open_msg != 0 ? open_msg : trace::next_msg_id());
     ucx::BufferDesc desc;
     const Status st = core::lower_custom_send(type, buf, count, worker_, &desc, lowering);
     if (!ok(st)) return make_error_request(st);

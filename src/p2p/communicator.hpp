@@ -20,6 +20,9 @@
 namespace mpicd::p2p {
 
 class Universe;
+namespace coll {
+struct Payload;
+}
 
 inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -1;
@@ -66,6 +69,12 @@ public:
     // Progress until complete. Aborts (with a log message) if no progress
     // is possible for a long wall-clock interval — a deadlock in test code.
     MsgStatus wait();
+
+    // Withdraw a receive that has not matched a message yet (MPI_Cancel
+    // analog). Returns true when withdrawn: no message can land in its
+    // buffer afterwards. False for sends and for matched or finished
+    // receives.
+    bool cancel();
 
 private:
     friend class Communicator;
@@ -200,22 +209,12 @@ public:
     // the block) and the counter wraps harmlessly at 2^32: concurrent
     // outstanding collectives never span anywhere near 4 billion tags.
     [[nodiscard]] std::uint32_t coll_reserve_tags(std::uint32_t n);
-    [[nodiscard]] Request coll_isend_bytes(const void* p, Count n, int dst,
-                                           std::uint32_t ctag);
-    [[nodiscard]] Request coll_irecv_bytes(void* p, Count n, int src,
-                                           std::uint32_t ctag);
-    [[nodiscard]] Request coll_isend(const void* buf, Count count,
-                                     const dt::TypeRef& type, int dst,
+    // Post one step payload (raw bytes, derived or custom datatype; see
+    // coll/schedule.hpp) on collective tag `ctag`.
+    [[nodiscard]] Request coll_isend(const coll::Payload& p, int dst,
                                      std::uint32_t ctag);
-    [[nodiscard]] Request coll_irecv(void* buf, Count count,
-                                     const dt::TypeRef& type, int src,
+    [[nodiscard]] Request coll_irecv(const coll::Payload& p, int src,
                                      std::uint32_t ctag);
-    [[nodiscard]] Request coll_isend_custom(const void* buf, Count count,
-                                            const core::CustomDatatype& type,
-                                            int dst, std::uint32_t ctag);
-    [[nodiscard]] Request coll_irecv_custom(void* buf, Count count,
-                                            const core::CustomDatatype& type,
-                                            int src, std::uint32_t ctag);
 
 private:
     friend class Request;

@@ -252,12 +252,57 @@ TEST(CollFaults, HeavyLossTimesOutCleanly) {
 // posted/completed step counts — so the dump names the step that never
 // completed. force_reliable runs the protocol with zero injected loss:
 // the watchdog arms (reliable() is true) but nothing is ever dropped,
-// so the expiry comes purely from rank 0 never entering the barrier
-// the other two ranks join.
-TEST(CollFaults, WatchdogTimeoutTriggersFlightDump) {
+// so the expiry comes purely from rank 0 never entering the collective
+// the other two ranks join. Every family runs on the one executor, so the
+// v-variants time out exactly like the barrier instead of blocking until
+// the process-wide deadlock abort.
+struct WatchdogCase {
+    const char* name;
+    const char* fam; // as printed in the dump
+    Status (*run)(Communicator& comm);
+};
+
+const WatchdogCase kWatchdogCases[] = {
+    {"barrier", "barrier", [](Communicator& comm) { return barrier(comm); }},
+    {"allgatherv_bytes", "allgatherv",
+     [](Communicator& comm) {
+         const std::vector<Count> counts(3, 4), displs = {0, 4, 8};
+         std::int32_t mine = comm.rank();
+         std::vector<std::int32_t> all(3);
+         return coll::allgatherv_bytes(comm, &mine, 4, all.data(), counts, displs);
+     }},
+    {"alltoallv_custom", "alltoallv",
+     [](Communicator& comm) {
+         using Obj = std::vector<std::int32_t>;
+         std::vector<Obj> out(3, Obj(8, comm.rank())), in(3, Obj(8));
+         std::vector<const void*> send;
+         std::vector<void*> recv;
+         for (int p = 0; p < 3; ++p) {
+             send.push_back(&out[static_cast<std::size_t>(p)]);
+             recv.push_back(&in[static_cast<std::size_t>(p)]);
+         }
+         return coll::alltoallv_custom(comm, send, recv,
+                                       core::custom_datatype_of<Obj>());
+     }},
+    {"gatherv", "gatherv",
+     [](Communicator& comm) {
+         // Rooted at the absent rank, with rendezvous-sized contributions
+         // (an eager send would complete without the root).
+         constexpr Count kElems = 16 * 1024;
+         const std::vector<Count> counts(3, kElems), displs = {0, kElems, 2 * kElems};
+         const std::vector<std::int32_t> mine(kElems, comm.rank());
+         return coll::gatherv(comm, mine.data(), kElems, dt::type_int32(), nullptr,
+                              counts, displs, dt::type_int32(), 0);
+     }},
+};
+
+class CollWatchdog : public ::testing::TestWithParam<WatchdogCase> {};
+
+TEST_P(CollWatchdog, WatchdogTimeoutTriggersFlightDump) {
+    const WatchdogCase& c = GetParam();
     netsim::FaultConfig f;
     f.force_reliable = true;
-    const std::string path = "mpicd_coll_flight.txt";
+    const std::string path = std::string("mpicd_coll_flight_") + c.name + ".txt";
     std::remove(path.c_str());
     flight::set_enabled(true, path);
     std::atomic<int> timeouts{0};
@@ -265,8 +310,8 @@ TEST(CollFaults, WatchdogTimeoutTriggersFlightDump) {
         Universe uni(3, lossy_params(), f);
         std::vector<std::thread> threads;
         for (int r = 1; r <= 2; ++r) {
-            threads.emplace_back([&uni, &timeouts, r] {
-                if (barrier(uni.comm(r)) == Status::timeout) ++timeouts;
+            threads.emplace_back([&uni, &timeouts, &c, r] {
+                if (c.run(uni.comm(r)) == Status::timeout) ++timeouts;
             });
         }
         for (auto& t : threads) t.join();
@@ -286,9 +331,28 @@ TEST(CollFaults, WatchdogTimeoutTriggersFlightDump) {
     EXPECT_NE(dump.find("reason: coll_watchdog_expired"), std::string::npos);
     EXPECT_NE(dump.find("source: coll.ops"), std::string::npos);
     EXPECT_NE(dump.find("live collective ops:"), std::string::npos);
-    EXPECT_NE(dump.find("fam=barrier"), std::string::npos);
+    EXPECT_NE(dump.find(std::string("fam=") + c.fam), std::string::npos) << dump;
     EXPECT_NE(dump.find("peer="), std::string::npos);
     std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Family, CollWatchdog, ::testing::ValuesIn(kWatchdogCases),
+                         [](const auto& info) { return std::string(info.param.name); });
+
+// A rank that enters after its peers' watchdogs fired sends into their
+// timed-out barrier: those receives were withdrawn when the ops gave up,
+// so the late tokens queue as unexpected messages instead of landing in
+// the released op state (a use-after-free the address sanitizer reports).
+// The late rank itself then times out waiting for peers that left.
+TEST(CollFaults, LateEntrantAfterWatchdogTouchesNoReleasedBuffer) {
+    netsim::FaultConfig f;
+    f.force_reliable = true;
+    Universe uni(3, lossy_params(), f);
+    std::vector<std::thread> threads;
+    for (int r = 1; r <= 2; ++r)
+        threads.emplace_back([&uni, r] { EXPECT_EQ(barrier(uni.comm(r)), Status::timeout); });
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(barrier(uni.comm(0)), Status::timeout);
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 #include <span>
 
 #include "core/builtin_serialize.hpp"
+#include "core/paper_types.hpp"
 #include "p2p/coll/vcoll.hpp"
 #include "p2p/collectives.hpp"
 #include "p2p/runner.hpp"
@@ -275,6 +276,18 @@ TEST(CollOverlap, NonblockingCollectiveOverlapsP2P) {
     run_world(4, [&](Communicator& comm) {
         double d = comm.rank() + 1.0;
         auto cr = coll::iallreduce(comm, &d, 1, ReduceOp::sum);
+        // A v-variant in flight alongside: rank i contributes i+1 int32s.
+        // Counts and displacements are read only during the call.
+        const std::vector<Count> counts = {1, 2, 3, 4}, displs = {0, 1, 3, 6};
+        const std::vector<std::int32_t> mine(
+            static_cast<std::size_t>(comm.rank() + 1), comm.rank() * 7);
+        std::vector<std::int32_t> all(10, -1);
+        coll::CollRequest vr;
+        {
+            const std::vector<Count> bytes = {4, 8, 12, 16}, offs = {0, 4, 12, 24};
+            vr = coll::iallgatherv_bytes(comm, mine.data(), 4 * (comm.rank() + 1),
+                                         all.data(), bytes, offs);
+        }
         const int next = (comm.rank() + 1) % 4;
         const int prev = (comm.rank() + 3) % 4;
         for (int i = 0; i < 8; ++i) {
@@ -287,6 +300,11 @@ TEST(CollOverlap, NonblockingCollectiveOverlapsP2P) {
         }
         EXPECT_EQ(cr.wait(), Status::success);
         EXPECT_DOUBLE_EQ(d, 10.0);
+        EXPECT_EQ(vr.wait(), Status::success);
+        for (int i = 0; i < 4; ++i)
+            for (Count j = 0; j < counts[static_cast<std::size_t>(i)]; ++j)
+                EXPECT_EQ(all[static_cast<std::size_t>(displs[static_cast<std::size_t>(i)] + j)],
+                          i * 7);
     }, test::test_params());
 }
 
@@ -586,6 +604,29 @@ TEST(CollHier, CollectivesCorrectOnTwoLevelTopology) {
     }, two_level_params());
     // auto-selection must have picked the hierarchical family here.
     EXPECT_GT(coll::coll_counters().hier_selected.load(), hier_before);
+}
+
+// coll/leader_bytes counts what hierarchical ops actually moved between
+// nodes, whatever the payload kind: a custom-datatype bcast on 4 nodes of
+// 3 crosses the inter-node plane once per non-root node with the packed
+// size (20 bytes per StructSimple).
+TEST(CollHier, LeaderBytesCountPackedCustomBcast) {
+    netsim::WireParams p = test::test_params();
+    p.ranks_per_node = 3;
+    constexpr Count kElems = 100;
+    const auto before = coll::coll_counters().leader_bytes.load();
+    run_world(12, [&](Communicator& comm) {
+        std::vector<core::StructSimple> v(kElems);
+        if (comm.rank() == 4)
+            for (Count i = 0; i < kElems; ++i)
+                v[static_cast<std::size_t>(i)].c = static_cast<std::int32_t>(i);
+        ASSERT_EQ(bcast_custom(comm, v.data(), kElems,
+                               core::custom_datatype_of<core::StructSimple>(), 4),
+                  Status::success);
+        EXPECT_EQ(v.back().c, kElems - 1);
+    }, p);
+    EXPECT_EQ(coll::coll_counters().leader_bytes.load() - before,
+              static_cast<std::uint64_t>((4 - 1) * kElems * core::kScalarPack));
 }
 
 // Flat and hierarchical algorithms must be observationally identical;

@@ -3,10 +3,12 @@
 #
 #   run_coll_analyze.sh <coll_trace_demo-binary> [out-dir]
 #
-# Runs the 12-rank two-level collective demo (ibarrier + hierarchical
-# ibcast + iallreduce + ragged allgatherv) with tracing on, then feeds
-# the Chrome trace to tools/coll_analyze.py --check, which requires
-# every op's round tree to be complete on every rank and the cross-rank
+# Runs the 12-rank two-level collective demo (every schedule builder:
+# barrier, bytes/custom bcast, gather, allreduce, allgatherv, and the
+# bytes/custom gatherv and alltoallv, then the topology-aware families
+# again with the flat algorithm forced) with tracing on, then feeds the
+# Chrome trace to tools/coll_analyze.py --check, which requires every
+# op's round tree to be complete on every rank and the cross-rank
 # critical path to tile the op's end-to-end virtual-time latency
 # exactly. Wired into ctest under the `analyze` label.
 set -eu
@@ -38,19 +40,21 @@ fi
 python3 "$tools_dir/coll_analyze.py" --check "$out"
 
 # The machine-readable report must also parse and carry the aggregate:
-# all four collective families of the demo present, each with a critical
-# path no longer than its op's end-to-end latency, and at least one
-# hierarchical op that crossed the node uplinks.
+# every family of the demo present, both algorithms of each
+# topology-aware family, each op with a critical path no longer than its
+# end-to-end latency and at least one traced message.
 python3 "$tools_dir/coll_analyze.py" --json "$out" > "$dir/report.json"
 python3 - "$dir/report.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 agg = doc["aggregate"]
-assert agg["ops"] >= 4, "expected >= 4 collective ops, got %d" % agg["ops"]
+assert agg["ops"] >= 15, "expected >= 15 collective ops, got %d" % agg["ops"]
 assert agg["ops_with_critical_path"] == agg["ops"], "incomplete op trees"
-fams = {op["fam"] for op in doc["ops"]}
-assert {"barrier", "bcast", "allreduce", "allgatherv"} <= fams, fams
-assert any(op["algo"] == "hier" for op in doc["ops"]), "no hier op traced"
+builders = {(op["fam"], op["algo"]) for op in doc["ops"]}
+expected = {(f, a) for f in ("bcast", "gather", "allreduce", "allgatherv")
+            for a in ("flat", "hier")}
+expected |= {("barrier", "flat"), ("gatherv", "flat"), ("alltoallv", "flat")}
+assert expected <= builders, sorted(expected - builders)
 for op in doc["ops"]:
     assert op["cp_us"] <= op["e2e_us"] + 0.01, op
     assert op["rounds"] >= 1 and op["messages"] >= 1, op
