@@ -11,7 +11,6 @@
 // matching, datatype handling) live in src/ucx on top of this layer.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -53,10 +52,9 @@ struct Packet {
     std::uint16_t kind = 0;
     ByteVec header;      // small protocol header (always by copy)
     // Bulk payload carried by the wire (may be empty). Pool-backed: copying
-    // a Packet (retransmit queue, duplicate injection) shares the slab when
-    // the pool is enabled and deep-copies when it is not; anyone mutating
-    // payload bytes in place must ensure_unique() first (the fault
-    // injector's corruption stage is the only such site).
+    // a Packet (retransmit queue, duplicate injection) shares the slab;
+    // anyone mutating payload bytes in place must ensure_unique() first
+    // (the fault injector's corruption stage is the only such site).
     PooledBuf payload;
     SimTime arrival = 0; // virtual arrival time at the destination
     std::uint64_t seq = 0;
@@ -110,9 +108,6 @@ public:
     // Non-blocking poll of endpoint `ep`'s inbox; packets are delivered in
     // the order their transmissions were issued per link.
     [[nodiscard]] std::optional<Packet> poll(int ep);
-
-    // Blocking variant used by threaded-rank examples.
-    [[nodiscard]] Packet poll_blocking(int ep);
 
     [[nodiscard]] bool inbox_empty(int ep);
 
@@ -181,7 +176,6 @@ private:
     // after the next packet on the link (or on an empty poll).
     std::vector<std::optional<Packet>> limbo_; // [src*n + dst]
     std::mutex mutex_;
-    std::condition_variable cv_;
 };
 
 } // namespace mpicd::netsim

@@ -61,17 +61,6 @@ void FaultInjector::schedule(const ScheduledFault& f) {
     ++scheduled_remaining_;
 }
 
-void FaultInjector::reset() {
-    const std::size_t nlinks = rng_.size();
-    rng_.clear();
-    for (std::size_t l = 0; l < nlinks; ++l)
-        rng_.emplace_back(mix64(cfg_.seed ^ mix64(l + 1)));
-    links_.assign(nlinks, LinkState{});
-    std::fill(fired_.begin(), fired_.end(), false);
-    scheduled_remaining_ = schedule_.size();
-    counters_ = FaultCounters{};
-}
-
 FaultInjector::Decision FaultInjector::decide(int src, int dst, std::uint16_t kind,
                                               std::uint64_t nbytes) {
     Decision d;

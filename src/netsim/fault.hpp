@@ -125,10 +125,6 @@ public:
     [[nodiscard]] Decision decide(int src, int dst, std::uint16_t kind,
                                   std::uint64_t nbytes);
 
-    // Reset RNG streams, per-link packet ordinals and counters to the
-    // initial state (the schedule is kept and re-armed).
-    void reset();
-
 private:
     [[nodiscard]] std::size_t link(int src, int dst) const noexcept {
         return static_cast<std::size_t>(src) * static_cast<std::size_t>(n_) +

@@ -15,8 +15,7 @@
 // pay a per-entry NIC cost (UCP_DATATYPE_IOV equivalent).
 //
 // Tag matching is delegated to TagMatcher (ucx/matcher.hpp): hashed
-// mask-group buckets by default, the seed's linear scans under
-// MPICD_TAG_MATCH=linear. See docs/MATCHING.md.
+// mask-group buckets. See docs/MATCHING.md.
 //
 // Thread-safety: the protocol state machines run under one mutex, but the
 // hot cross-thread paths are finely locked so rank threads driving their
@@ -182,11 +181,6 @@ public:
 
     // Snapshot of the protocol counters.
     [[nodiscard]] WorkerStats stats();
-
-    // Which matching engine this worker runs (fixed at construction).
-    [[nodiscard]] TagMatcher::Mode match_mode() const noexcept {
-        return matcher_.mode();
-    }
 
 private:
     struct Request;

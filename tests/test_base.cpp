@@ -20,6 +20,10 @@
 #include "core/engine.hpp"
 #include "dt/par_pack.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace mpicd {
 namespace {
 
@@ -181,23 +185,6 @@ TEST(Config, CustomPackFragClampsToDefault) {
     EXPECT_EQ(core::custom_pack_frag_from_env(), 4096);
     unsetenv("MPICD_CUSTOM_PACK_FRAG");
     EXPECT_EQ(core::custom_pack_frag_from_env(), kDefault);
-}
-
-TEST(Config, FastPathEnvClampsToDefault) {
-    // MPICD_FAST_PATH accepts exactly 0 or 1; anything else means the
-    // default (enabled) rather than silently meaning something.
-    setenv("MPICD_FAST_PATH", "0", 1);
-    EXPECT_FALSE(core::fast_path_from_env());
-    setenv("MPICD_FAST_PATH", "1", 1);
-    EXPECT_TRUE(core::fast_path_from_env());
-    setenv("MPICD_FAST_PATH", "7", 1);
-    EXPECT_TRUE(core::fast_path_from_env());
-    setenv("MPICD_FAST_PATH", "-1", 1);
-    EXPECT_TRUE(core::fast_path_from_env());
-    setenv("MPICD_FAST_PATH", "notanumber", 1);
-    EXPECT_TRUE(core::fast_path_from_env()); // unparsable -> default
-    unsetenv("MPICD_FAST_PATH");
-    EXPECT_TRUE(core::fast_path_from_env());
 }
 
 TEST(Stats, EmptyIsZero) {
@@ -463,18 +450,11 @@ TEST(Flight, DisarmedTriggerIsANoOp) {
 
 // --- Slab buffer pool (base/pool.hpp) --------------------------------------
 
-// Restores the pool's enabled state (tests run in one process; the pool is
-// a process-wide singleton).
+// Empties the freelists after a test (tests run in one process; the pool
+// is a process-wide singleton).
 class PoolGuard {
 public:
-    PoolGuard() : prev_(BufferPool::instance().enabled()) {}
-    ~PoolGuard() {
-        BufferPool::instance().set_enabled(prev_);
-        BufferPool::instance().trim();
-    }
-
-private:
-    bool prev_;
+    ~PoolGuard() { BufferPool::instance().trim(); }
 };
 
 void fill_pattern(PooledBuf& b, unsigned salt) {
@@ -484,7 +464,6 @@ void fill_pattern(PooledBuf& b, unsigned salt) {
 
 TEST(Pool, SizeClassesRoundUpToPowersOfTwo) {
     const PoolGuard guard;
-    BufferPool::instance().set_enabled(true);
     EXPECT_EQ(PooledBuf::make(1).capacity(), BufferPool::kMinClass);
     EXPECT_EQ(PooledBuf::make(256).capacity(), 256u);
     EXPECT_EQ(PooledBuf::make(257).capacity(), 512u);
@@ -498,7 +477,6 @@ TEST(Pool, SizeClassesRoundUpToPowersOfTwo) {
 
 TEST(Pool, CopySharesSlabWhenPoolOn) {
     const PoolGuard guard;
-    BufferPool::instance().set_enabled(true);
     PooledBuf a = PooledBuf::make(1000);
     fill_pattern(a, 1);
     const std::uint64_t copied_before =
@@ -511,22 +489,8 @@ TEST(Pool, CopySharesSlabWhenPoolOn) {
               copied_before);
 }
 
-TEST(Pool, CopyIsDeepWhenPoolOff) {
-    const PoolGuard guard;
-    BufferPool::instance().set_enabled(false);
-    PooledBuf a = PooledBuf::make(1000);
-    fill_pattern(a, 2);
-    const PooledBuf b = a;
-    ASSERT_EQ(b.size(), a.size());
-    EXPECT_NE(b.data(), a.data()); // seed behaviour: a real copy
-    EXPECT_TRUE(a.unique());
-    EXPECT_TRUE(b.unique());
-    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size()), 0);
-}
-
 TEST(Pool, EnsureUniqueDetachesSharedSlab) {
     const PoolGuard guard;
-    BufferPool::instance().set_enabled(true);
     PooledBuf a = PooledBuf::make(4096);
     fill_pattern(a, 3);
     PooledBuf b = a;
@@ -544,7 +508,6 @@ TEST(Pool, EnsureUniqueDetachesSharedSlab) {
 
 TEST(Pool, ShrinkToReslabsLargeUnusedTail) {
     const PoolGuard guard;
-    BufferPool::instance().set_enabled(true);
     PooledBuf a = PooledBuf::make(64 * 1024);
     fill_pattern(a, 4);
     ByteVec expect(a.data(), a.data() + 100);
@@ -557,7 +520,6 @@ TEST(Pool, ShrinkToReslabsLargeUnusedTail) {
 
 TEST(Pool, ShrinkToKeepsSlabWhenSharedOrClose) {
     const PoolGuard guard;
-    BufferPool::instance().set_enabled(true);
     PooledBuf a = PooledBuf::make(8192);
     const PooledBuf share = a; // not unique: shrink must not re-slab
     a.shrink_to(10);
@@ -571,7 +533,6 @@ TEST(Pool, ShrinkToKeepsSlabWhenSharedOrClose) {
 TEST(Pool, FreelistReusesReturnedSlabs) {
     const PoolGuard guard;
     BufferPool& pool = BufferPool::instance();
-    pool.set_enabled(true);
     pool.trim();
     const PoolStats before = pool.stats();
     const std::byte* first = nullptr;
@@ -586,26 +547,25 @@ TEST(Pool, FreelistReusesReturnedSlabs) {
     EXPECT_EQ(after.returns, before.returns + 1);
 }
 
-TEST(Pool, DisabledPoolCountsHeapAllocsAndTrims) {
+TEST(Pool, TrimFreesCachedSlabs) {
     const PoolGuard guard;
     BufferPool& pool = BufferPool::instance();
-    pool.set_enabled(true);
     { const PooledBuf warm = PooledBuf::make(4096); } // seeds the freelist
     EXPECT_GT(pool.stats().bytes_cached, 0u);
-    pool.set_enabled(false); // disabling trims the cache
-    EXPECT_EQ(pool.stats().bytes_cached, 0u);
     const PoolStats before = pool.stats();
-    { const PooledBuf a = PooledBuf::make(4096); }
+    pool.trim();
     const PoolStats after = pool.stats();
-    EXPECT_EQ(after.heap_allocs, before.heap_allocs + 1);
-    EXPECT_EQ(after.hits, before.hits);
-    EXPECT_EQ(after.bytes_cached, 0u); // pool-off slabs are never cached
+    EXPECT_EQ(after.bytes_cached, 0u);
+    EXPECT_GT(after.frees, before.frees);
+    // The freelist is empty now: the next acquire of that class misses.
+    { const PooledBuf a = PooledBuf::make(4096); }
+    EXPECT_EQ(pool.stats().hits, after.hits);
+    EXPECT_EQ(pool.stats().misses, after.misses + 1);
 }
 
 TEST(Pool, OutstandingTracksLiveBuffers) {
     const PoolGuard guard;
     BufferPool& pool = BufferPool::instance();
-    pool.set_enabled(true);
     const std::uint64_t base = pool.outstanding();
     {
         const PooledBuf a = PooledBuf::make(1024);
@@ -619,7 +579,6 @@ TEST(Pool, OutstandingTracksLiveBuffers) {
 
 TEST(Pool, CopyOfCountsCopiedBytes) {
     const PoolGuard guard;
-    BufferPool::instance().set_enabled(true);
     const ByteVec src(777, static_cast<std::byte>(0x5A));
     const std::uint64_t copied_before =
         datapath::bytes_copied().load(std::memory_order_relaxed);
@@ -628,6 +587,36 @@ TEST(Pool, CopyOfCountsCopiedBytes) {
     EXPECT_EQ(std::memcmp(b.data(), src.data(), src.size()), 0);
     EXPECT_EQ(datapath::bytes_copied().load(std::memory_order_relaxed),
               copied_before + 777);
+}
+
+TEST(Pool, ReleasedSlabIsPoisonedUnderAsan) {
+#if !defined(__SANITIZE_ADDRESS__)
+    GTEST_SKIP() << "needs an AddressSanitizer build";
+#else
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const PoolGuard guard;
+    BufferPool& pool = BufferPool::instance();
+    pool.trim();
+    const std::byte* stale = nullptr;
+    {
+        const PooledBuf a = PooledBuf::make(1024);
+        stale = a.data();
+    } // back on the 1 KiB freelist
+    EXPECT_TRUE(__asan_address_is_poisoned(stale));
+    // A use after release is reported although the slab is still cached.
+    EXPECT_DEATH(
+        {
+            const volatile std::byte* p = stale;
+            const std::byte v = p[0];
+            (void)v;
+        },
+        "use-after-poison");
+    // Re-acquiring the slab makes its payload usable again.
+    PooledBuf b = PooledBuf::make(1024);
+    ASSERT_EQ(b.data(), stale);
+    EXPECT_FALSE(__asan_address_is_poisoned(b.data()));
+    fill_pattern(b, 5);
+#endif
 }
 
 } // namespace

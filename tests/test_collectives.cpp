@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <span>
 
 #include "core/builtin_serialize.hpp"
@@ -264,6 +265,37 @@ TEST(CollValidation, LocalErrorDoesNotDesyncTagEpoch) {
         EXPECT_EQ(bcast_bytes(comm, &d, 8, 5), Status::err_arg); // root range
         ASSERT_EQ(allreduce(comm, &d, 1, ReduceOp::sum), Status::success);
         EXPECT_EQ(d, 1.0);
+    }, test::test_params());
+}
+
+// CollRequest::test() progresses the universe once per call, so polling it
+// alone drives a collective to completion; it stays true once complete and
+// is true at once for a request that failed validation.
+TEST(CollRequestPoll, TestAloneDrivesBarrierAndAllreduce) {
+    run_world(4, [&](Communicator& comm) {
+        double d = comm.rank() + 1.0;
+        std::int64_t q = 10 * comm.rank();
+        coll::CollRequest reqs[3] = {
+            coll::ibarrier(comm),
+            coll::iallreduce(comm, &d, 1, ReduceOp::sum),
+            coll::iallreduce(comm, &q, 1, ReduceOp::max),
+        };
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(60);
+        for (auto& r : reqs) {
+            while (!r.test())
+                ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+                    << "test() never reported completion";
+            EXPECT_TRUE(r.test()); // sticky once complete
+            EXPECT_EQ(r.wait(), Status::success);
+        }
+        EXPECT_EQ(d, 10.0);
+        EXPECT_EQ(q, 30);
+
+        coll::CollRequest bad =
+            coll::iallreduce(comm, static_cast<double*>(nullptr), 3, ReduceOp::sum);
+        EXPECT_TRUE(bad.test());
+        EXPECT_EQ(bad.wait(), Status::err_arg);
     }, test::test_params());
 }
 

@@ -1,10 +1,11 @@
 // Tests for the CustomSerialize<T> trait layer, the paper's benchmark
 // types (Listings 6–8), and the zero-serialization fast path: wire
-// classification pins, the concepts-based mpicd::send/recv API, and the
-// MPICD_FAST_PATH=0 differential suite (docs/API.md §7).
+// classification pins, the concepts-based mpicd::send/recv API, and its
+// differential suite against reference transfers (docs/API.md §7).
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <utility>
@@ -296,14 +297,17 @@ static_assert(WireSendable<TestBlob>);
 namespace {
 
 // ---------------------------------------------------------------------------
-// Differential suite: MPICD_FAST_PATH on vs off must deliver identical
-// payloads and (for wire-compatible shapes, with the protocol choice
-// pinned) identical wire-fragment schedules.
+// Differential suite: mpicd::send/recv against a reference transfer. Types
+// with their own CustomSerialize are checked against send_custom /
+// recv_custom on custom_datatype_of<T>() called directly: the same
+// delivered value and, with the protocol choice pinned, the same
+// wire-fragment schedule. Wireable types without one are checked against
+// the source object's bytes.
 
-// The fast path sends wireable T as CONTIG (eager_threshold) where the
-// fallback sends a one-region IOV (iov_eager_threshold); pinning the two
-// thresholds equal makes both modes pick the same protocol, so fragment
-// schedules are comparable.
+// The fast path sends wireable T as CONTIG (eager_threshold) where a
+// one-region custom lowering sends an IOV (iov_eager_threshold); pinning
+// the two thresholds equal makes both routes pick the same protocol, so
+// fragment schedules are comparable.
 netsim::WireParams pinned_params(Count eager, Count frag) {
     netsim::WireParams p;
     p.eager_threshold = eager;
@@ -322,21 +326,21 @@ struct Exchanged {
     std::uint64_t retransmits = 0;
 };
 
-// One blocking mpicd::send/recv pair (receiver on its own thread: the
-// rendezvous protocol needs both sides in flight) with the global knob
-// forced to `fast`, capturing payload, fragment schedule, and retransmits.
-template <typename T>
-Exchanged<T> exchange_one(bool fast, const T& src, const netsim::WireParams& p,
-                          const netsim::ScheduledFault* fault = nullptr) {
+// One blocking send/recv pair (receiver on its own thread: the rendezvous
+// protocol needs both sides in flight) into `shaped`, capturing payload,
+// fragment schedule, and retransmits.
+template <typename T, typename Recv, typename Send>
+Exchanged<T> run_exchange(T shaped, const netsim::WireParams& p,
+                          const netsim::ScheduledFault* fault, Recv recv,
+                          Send send) {
     metrics().reset();
-    set_fast_path(fast);
     Exchanged<T> out;
+    out.value = std::move(shaped);
     {
         p2p::Universe uni(2, p);
         if (fault) uni.fabric().faults().schedule(*fault);
-        std::thread rx(
-            [&] { out.recv_st = mpicd::recv(uni.comm(1), out.value, 0, 7); });
-        out.send_st = mpicd::send(uni.comm(0), src, 1, 7);
+        std::thread rx([&] { out.recv_st = recv(uni.comm(1), out.value); });
+        out.send_st = send(uni.comm(0));
         rx.join();
         out.retransmits = uni.worker(0).stats().retransmits;
     }
@@ -346,8 +350,62 @@ Exchanged<T> exchange_one(bool fast, const T& src, const netsim::WireParams& p,
             out.frag_sum = h.snap.sum;
         }
     }
-    set_fast_path(fast_path_from_env()); // restore the ambient default
     return out;
+}
+
+// The route under test: trait-dispatched mpicd::send/recv.
+template <typename T>
+Exchanged<T> exchange_api(const T& src, const netsim::WireParams& p,
+                          const netsim::ScheduledFault* fault = nullptr) {
+    return run_exchange(
+        T{}, p, fault,
+        [](p2p::Communicator& c, T& dst) { return mpicd::recv(c, dst, 0, 7); },
+        [&](p2p::Communicator& c) { return mpicd::send(c, src, 1, 7); });
+}
+
+// The reference: T's own CustomSerialize lowering, called directly. The
+// receiver must already describe the expected sizes (the paper's
+// receive-side contract), hence `shaped`.
+template <typename T>
+    requires HasCustomSerialize<T>
+Exchanged<T> exchange_custom(const T& src, T shaped, const netsim::WireParams& p,
+                             const netsim::ScheduledFault* fault = nullptr) {
+    const CustomDatatype& type = custom_datatype_of<T>();
+    return run_exchange(
+        std::move(shaped), p, fault,
+        [&](p2p::Communicator& c, T& dst) {
+            return c.recv_custom(&dst, 1, type, 0, 7);
+        },
+        [&](p2p::Communicator& c) { return c.send_custom(&src, 1, type, 1, 7); });
+}
+
+// An empty receiver of src's size.
+template <typename T>
+T shaped_like(const T& src) {
+    T v{};
+    if constexpr (ContiguousResizable<T>) v.resize(src.size());
+    return v;
+}
+
+template <typename T>
+void expect_source_bytes(const Exchanged<T>& got, const T& src) {
+    static_assert(TriviallyWireable<T> && !HasCustomSerialize<T>);
+    ASSERT_EQ(got.send_st.status, Status::success);
+    ASSERT_EQ(got.recv_st.status, Status::success);
+    EXPECT_EQ(got.recv_st.bytes, static_cast<Count>(sizeof(T)));
+    EXPECT_EQ(std::memcmp(&got.value, &src, sizeof(T)), 0);
+}
+
+template <typename T>
+void expect_matches_reference(const Exchanged<T>& api, const Exchanged<T>& ref,
+                              const T& src) {
+    ASSERT_EQ(api.recv_st.status, Status::success);
+    ASSERT_EQ(ref.recv_st.status, Status::success);
+    EXPECT_EQ(api.value, src);
+    EXPECT_EQ(ref.value, src);
+    EXPECT_EQ(api.recv_st.bytes, ref.recv_st.bytes);
+    EXPECT_EQ(api.frag_count, ref.frag_count);
+    EXPECT_EQ(api.frag_sum, ref.frag_sum);
 }
 
 std::uint64_t counter_value(const char* group, const char* name) {
@@ -356,101 +414,70 @@ std::uint64_t counter_value(const char* group, const char* name) {
     return 0;
 }
 
-TEST(FastPath, WireableOnOffIdenticalEager) {
+TEST(FastPath, WireableMatchesSourceBytesEager) {
     std::array<std::int32_t, 64> src{};
     for (std::size_t i = 0; i < src.size(); ++i)
         src[i] = static_cast<std::int32_t>(i * 3 + 1);
-    const auto p = pinned_params(4096, 4096);
-    const auto on = exchange_one(true, src, p);
-    const auto off = exchange_one(false, src, p);
-    ASSERT_EQ(on.recv_st.status, Status::success);
-    ASSERT_EQ(off.recv_st.status, Status::success);
-    EXPECT_EQ(on.value, src);
-    EXPECT_EQ(off.value, src);
-    // Same bytes on the wire, same fragment schedule.
-    EXPECT_EQ(on.recv_st.bytes, static_cast<Count>(sizeof src));
-    EXPECT_EQ(on.frag_count, off.frag_count);
-    EXPECT_EQ(on.frag_sum, off.frag_sum);
+    expect_source_bytes(exchange_api(src, pinned_params(4096, 4096)), src);
 }
 
-TEST(FastPath, WireableOnOffIdenticalRendezvous) {
+TEST(FastPath, WireableMatchesSourceBytesRendezvous) {
     std::array<double, 4096> src{}; // 32 KiB >> pinned 1 KiB threshold
     for (std::size_t i = 0; i < src.size(); ++i)
         src[i] = static_cast<double>(i) * 0.75;
-    const auto p = pinned_params(1024, 4096);
-    const auto on = exchange_one(true, src, p);
-    const auto off = exchange_one(false, src, p);
-    ASSERT_EQ(on.recv_st.status, Status::success);
-    ASSERT_EQ(off.recv_st.status, Status::success);
-    EXPECT_EQ(on.value, src);
-    EXPECT_EQ(off.value, src);
-    EXPECT_GE(on.frag_count, 8u); // really took the fragmented path
-    EXPECT_EQ(on.frag_count, off.frag_count);
-    EXPECT_EQ(on.frag_sum, off.frag_sum);
+    const auto got = exchange_api(src, pinned_params(1024, 4096));
+    expect_source_bytes(got, src);
+    EXPECT_GE(got.frag_count, 8u); // really took the fragmented path
 }
 
-TEST(FastPath, ResizableOnOffIdenticalEager) {
+TEST(FastPath, ResizableMatchesCustomReferenceEager) {
     const auto src = test::iota_vec<std::int32_t>(500, 11);
     const auto p = pinned_params(4096, 4096);
-    const auto on = exchange_one(true, src, p);
-    const auto off = exchange_one(false, src, p);
-    ASSERT_EQ(on.recv_st.status, Status::success);
-    ASSERT_EQ(off.recv_st.status, Status::success);
-    EXPECT_EQ(on.value, src);
-    EXPECT_EQ(off.value, src);
+    const auto api = exchange_api(src, p);
+    const auto ref = exchange_custom(src, shaped_like(src), p);
     // Two-entry size+payload IOV is wire-identical to the count==1
     // CustomSerialize<vector> lowering: u64 header + payload.
-    EXPECT_EQ(on.recv_st.bytes,
+    expect_matches_reference(api, ref, src);
+    EXPECT_EQ(api.recv_st.bytes,
               static_cast<Count>(sizeof(std::uint64_t) + 500 * sizeof(std::int32_t)));
-    EXPECT_EQ(on.frag_count, off.frag_count);
-    EXPECT_EQ(on.frag_sum, off.frag_sum);
 }
 
-TEST(FastPath, ResizableOnOffIdenticalRendezvous) {
+TEST(FastPath, ResizableMatchesCustomReferenceRendezvous) {
     const auto src = test::iota_vec<std::int64_t>(8192, 5); // 64 KiB payload
     const auto p = pinned_params(1024, 4096);
-    const auto on = exchange_one(true, src, p);
-    const auto off = exchange_one(false, src, p);
-    ASSERT_EQ(on.recv_st.status, Status::success);
-    ASSERT_EQ(off.recv_st.status, Status::success);
-    EXPECT_EQ(on.value, src);
-    EXPECT_EQ(off.value, src);
-    EXPECT_GE(on.frag_count, 8u);
-    EXPECT_EQ(on.frag_count, off.frag_count);
-    EXPECT_EQ(on.frag_sum, off.frag_sum);
+    const auto api = exchange_api(src, p);
+    const auto ref = exchange_custom(src, shaped_like(src), p);
+    expect_matches_reference(api, ref, src);
+    EXPECT_GE(api.frag_count, 8u);
 }
 
-TEST(FastPath, StringAndPairVectorBothModes) {
-    const std::string s(10000, 'x');
+TEST(FastPath, StringAndPairVectorMatchCustomReference) {
     const auto p = pinned_params(1024, 4096);
-    EXPECT_EQ(exchange_one(true, s, p).value, s);
-    EXPECT_EQ(exchange_one(false, s, p).value, s);
+    const std::string s(10000, 'x');
+    expect_matches_reference(exchange_api(s, p),
+                             exchange_custom(s, shaped_like(s), p), s);
 
     std::vector<std::pair<std::int32_t, double>> pv(300);
     for (std::size_t i = 0; i < pv.size(); ++i)
         pv[i] = {static_cast<std::int32_t>(i), static_cast<double>(i) * 0.5};
-    EXPECT_EQ(exchange_one(true, pv, p).value, pv);
-    EXPECT_EQ(exchange_one(false, pv, p).value, pv);
+    expect_matches_reference(exchange_api(pv, p),
+                             exchange_custom(pv, shaped_like(pv), p), pv);
 }
 
-TEST(FastPath, EmptyVectorBothModes) {
+TEST(FastPath, EmptyVectorMatchesCustomReference) {
     const std::vector<double> src;
     const auto p = pinned_params(4096, 4096);
-    const auto on = exchange_one(true, src, p);
-    const auto off = exchange_one(false, src, p);
-    ASSERT_EQ(on.recv_st.status, Status::success);
-    ASSERT_EQ(off.recv_st.status, Status::success);
-    EXPECT_TRUE(on.value.empty());
-    EXPECT_TRUE(off.value.empty());
+    const auto api = exchange_api(src, p);
+    expect_matches_reference(api, exchange_custom(src, shaped_like(src), p), src);
     // Header-only message: exactly the u64 length.
-    EXPECT_EQ(on.recv_st.bytes, static_cast<Count>(sizeof(std::uint64_t)));
+    EXPECT_EQ(api.recv_st.bytes, static_cast<Count>(sizeof(std::uint64_t)));
 }
 
 TEST(FastPath, LossyRendezvousDeliversIdenticalPayload) {
-    // Drop the rendezvous RTS: both modes' memory-exposing sinks take the
+    // Drop the rendezvous RTS: both routes' memory-exposing sinks take the
     // RDMA rendezvous (data moves by DMA, not droppable FRAG packets), so
     // the control channel is where loss can strike. Recovery (RTO +
-    // retransmit) must deliver the same payload in both modes. Fragment
+    // retransmit) must deliver the same payload on both. Fragment
     // *schedules* are not compared here — the retransmit count depends on
     // wall-clock timer sampling (see test_trace.cpp).
     const auto src = test::iota_vec<std::int64_t>(8192, 3);
@@ -463,29 +490,29 @@ TEST(FastPath, LossyRendezvousDeliversIdenticalPayload) {
     f.action = netsim::FaultAction::drop;
     f.kind_filter = ucx::wire::kRts;
     f.nth = 1;
-    const auto on = exchange_one(true, src, p, &f);
-    const auto off = exchange_one(false, src, p, &f);
-    ASSERT_EQ(on.recv_st.status, Status::success);
-    ASSERT_EQ(off.recv_st.status, Status::success);
-    EXPECT_GE(on.retransmits, 1u);
-    EXPECT_GE(off.retransmits, 1u);
-    EXPECT_EQ(on.value, src);
-    EXPECT_EQ(off.value, src);
+    const auto api = exchange_api(src, p, &f);
+    const auto ref = exchange_custom(src, shaped_like(src), p, &f);
+    ASSERT_EQ(api.recv_st.status, Status::success);
+    ASSERT_EQ(ref.recv_st.status, Status::success);
+    EXPECT_GE(api.retransmits, 1u);
+    EXPECT_GE(ref.retransmits, 1u);
+    EXPECT_EQ(api.value, src);
+    EXPECT_EQ(ref.value, src);
 }
 
-TEST(FastPath, StructSimpleBothModesDeliver) {
+TEST(FastPath, StructSimpleMatchesCustomReference) {
     // A wireable type that *also* has a CustomSerialize: the fast path
-    // ships all 24 raw bytes (gap included), the fallback packs 20 — both
-    // must deliver the same field values.
+    // ships all 24 raw bytes (gap included), the serializer packs 20 —
+    // both must deliver the same field values.
     StructSimple src{7, -8, 9, 2.5};
     const auto p = pinned_params(4096, 4096);
-    const auto on = exchange_one(true, src, p);
-    const auto off = exchange_one(false, src, p);
-    ASSERT_EQ(on.recv_st.status, Status::success);
-    ASSERT_EQ(off.recv_st.status, Status::success);
-    EXPECT_EQ(on.recv_st.bytes, static_cast<Count>(sizeof(StructSimple)));
-    EXPECT_EQ(off.recv_st.bytes, kScalarPack);
-    for (const auto* r : {&on.value, &off.value}) {
+    const auto api = exchange_api(src, p);
+    const auto ref = exchange_custom(src, StructSimple{}, p);
+    ASSERT_EQ(api.recv_st.status, Status::success);
+    ASSERT_EQ(ref.recv_st.status, Status::success);
+    EXPECT_EQ(api.recv_st.bytes, static_cast<Count>(sizeof(StructSimple)));
+    EXPECT_EQ(ref.recv_st.bytes, kScalarPack);
+    for (const auto* r : {&api.value, &ref.value}) {
         EXPECT_EQ(r->a, 7);
         EXPECT_EQ(r->b, -8);
         EXPECT_EQ(r->c, 9);
@@ -493,37 +520,39 @@ TEST(FastPath, StructSimpleBothModesDeliver) {
     }
 }
 
-TEST(FastPath, BlobUsesSerializerBothModes) {
+TEST(FastPath, BlobUsesSerializer) {
     TestBlob src;
     src.id = 42;
     src.data = test::iota_vec<std::int32_t>(257, 100);
+    // Serializer path: the receiver is pre-shaped on both routes.
+    TestBlob shaped;
+    shaped.data.resize(src.data.size());
     const auto p = pinned_params(4096, 4096);
-    for (const bool fast : {true, false}) {
-        metrics().reset();
-        set_fast_path(fast);
-        p2p::Universe uni(2, p);
-        TestBlob dst;
-        dst.data.resize(src.data.size()); // serializer path: pre-shaped receiver
-        auto rr = [&] { return mpicd::recv(uni.comm(1), dst, 0, 4); };
-        std::thread rx([&] { (void)rr(); });
-        const auto sst = mpicd::send(uni.comm(0), src, 1, 4);
-        rx.join();
-        EXPECT_EQ(sst.status, Status::success);
-        EXPECT_EQ(dst.id, 42);
-        EXPECT_EQ(dst.data, src.data);
-        // needs_serializer never touches the bypass counters, on or off.
-        EXPECT_GE(counter_value("fastpath", "serializer_ops"), 2u);
-        EXPECT_EQ(counter_value("fastpath", "hits_trivial"), 0u);
-        EXPECT_EQ(counter_value("fastpath", "hits_resizable"), 0u);
+    const auto ref = exchange_custom(src, shaped, p);
+    const auto api = run_exchange(
+        shaped, p, nullptr,
+        [](p2p::Communicator& c, TestBlob& dst) { return mpicd::recv(c, dst, 0, 7); },
+        [&](p2p::Communicator& c) { return mpicd::send(c, src, 1, 7); });
+    // needs_serializer never touches the bypass counters.
+    EXPECT_GE(counter_value("fastpath", "serializer_ops"), 2u);
+    EXPECT_EQ(counter_value("fastpath", "hits_trivial"), 0u);
+    EXPECT_EQ(counter_value("fastpath", "hits_resizable"), 0u);
+    for (const auto* r : {&api, &ref}) {
+        EXPECT_EQ(r->send_st.status, Status::success);
+        EXPECT_EQ(r->recv_st.status, Status::success);
+        EXPECT_EQ(r->value.id, 42);
+        EXPECT_EQ(r->value.data, src.data);
     }
-    set_fast_path(fast_path_from_env());
+    EXPECT_EQ(api.recv_st.bytes, ref.recv_st.bytes);
+    EXPECT_EQ(api.frag_count, ref.frag_count);
+    EXPECT_EQ(api.frag_sum, ref.frag_sum);
 }
 
-TEST(FastPath, CountersAccountBypassesAndFallbacks) {
+TEST(FastPath, CountersAccountBypasses) {
     const auto src = test::iota_vec<std::int32_t>(128, 1);
     const std::pair<std::int64_t, std::int64_t> pod{1, 2};
     const auto p = pinned_params(4096, 4096);
-    (void)exchange_one(true, src, p);  // resets metrics itself
+    (void)exchange_api(src, p); // resets metrics itself
     EXPECT_GE(counter_value("fastpath", "hits_resizable"), 2u); // send + recv
     EXPECT_GT(counter_value("fastpath", "bytes_bypassed"), 0u);
     EXPECT_GE(counter_value("fastpath", "plan_compiles_avoided"), 2u);
@@ -531,16 +560,11 @@ TEST(FastPath, CountersAccountBypassesAndFallbacks) {
     EXPECT_EQ(counter_value("pack", "plans_compiled"), 0u);
     EXPECT_EQ(counter_value("pack", "plan_cache_hits"), 0u);
 
-    (void)exchange_one(true, pod, p);
+    (void)exchange_api(pod, p);
     EXPECT_GE(counter_value("fastpath", "hits_trivial"), 2u);
-
-    (void)exchange_one(false, src, p);
-    EXPECT_GE(counter_value("fastpath", "fallback_ops"), 2u);
-    EXPECT_EQ(counter_value("fastpath", "hits_resizable"), 0u);
 }
 
 TEST(FastPath, CorruptStreamIsTruncateError) {
-    core::set_fast_path(true);
     p2p::Universe uni(2, test::test_params());
 
     // (a) 10 bytes: too short to be [u64][k * sizeof(i32)] — must be
@@ -569,7 +593,6 @@ TEST(FastPath, CorruptStreamIsTruncateError) {
     ASSERT_EQ(mpicd::send(uni.comm(0), good, 1, 8).status, Status::success);
     EXPECT_EQ(mpicd::recv(uni.comm(1), dst, 0, 8).status, Status::success);
     EXPECT_EQ(dst, good);
-    set_fast_path(fast_path_from_env());
 }
 
 TEST(FastPath, VectorHeaderBoundCheckRejectsCorruptLengths) {
