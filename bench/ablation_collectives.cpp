@@ -12,7 +12,8 @@
 // must beat their flat counterparts at the largest measured size (that is
 // the point of the topology model), and it exits nonzero otherwise —
 // making the bench-smoke ctest leg a structural regression check, not
-// just a perf one. Mid-size rows are reported ungated on purpose: a
+// just a perf one. The gate is armed on a lossless fabric only; with
+// MPICD_FAULT_* set the rows print but do not gate. Mid-size rows are reported ungated on purpose: a
 // leader superblock can cross the eager->rendezvous threshold that the
 // per-rank flat messages stay under (3 x 16K > 32K), and the resulting
 // dip is a real property of the protocol switch, not a regression (the
@@ -217,21 +218,26 @@ int main() {
     }
 
     table.finish("ablation_collectives");
+    // Both gates below are performance gates, and like bench_compare they
+    // hold only on a lossless fabric: with MPICD_FAULT_* armed, retransmit
+    // timeouts dominate the cells (1% drop puts hier allreduce near 14 ms
+    // against ~1.9 ms flat), so the lossy fault-matrix legs report the
+    // rows without gating them.
+    const bool lossy_env = netsim::FaultConfig::from_env().any_random();
     if (!gate_ok) {
-        std::fprintf(stderr, "FAIL: hierarchical allreduce/allgatherv did not "
-                             "beat flat on the two-level fabric\n");
-        return 1;
+        std::fprintf(stderr, "%s: hierarchical allreduce/allgatherv did not "
+                             "beat flat on the two-level fabric%s\n",
+                     lossy_env ? "note" : "FAIL",
+                     lossy_env ? " (not gated: fault injection active)" : "");
+        if (!lossy_env) return 1;
     }
 
     // Pure-observer gate: re-measure the largest hierarchical allreduce
     // with tracing ON. The instrumentation (coll.* instants, MsgScope
     // stamping, uplink-wait instants) must not perturb virtual time by
-    // more than 2% — the envelope docs/OBSERVABILITY.md promises. Like
-    // bench_compare, this is a perf gate that only holds on a lossless
-    // fabric: with MPICD_FAULT_* armed the two universes draw different
-    // fault sequences (packet order is thread-schedule dependent), so in
-    // the lossy matrix legs the delta is reported but not gated.
-    const bool lossy_env = netsim::FaultConfig::from_env().any_random();
+    // more than 2% — the envelope docs/OBSERVABILITY.md promises. With
+    // faults armed the two universes also draw different fault sequences
+    // (packet order is thread-schedule dependent).
     trace::set_enabled(true);
     trace::reset();
     const Cell traced =

@@ -134,27 +134,6 @@ SendSource::~SendSource() {
     }
 }
 
-SendSource::SendSource(SendSource&& other) noexcept
-    : desc_(other.desc_),
-      regions_(std::move(other.regions_)),
-      generic_state_(other.generic_state_),
-      generic_(other.generic_),
-      inorder_(other.inorder_),
-      init_status_(other.init_status_),
-      total_(other.total_),
-      total_known_(other.total_known_) {
-    other.generic_state_ = nullptr;
-    other.generic_ = false;
-}
-
-SendSource& SendSource::operator=(SendSource&& other) noexcept {
-    if (this != &other) {
-        this->~SendSource();
-        new (this) SendSource(std::move(other));
-    }
-    return *this;
-}
-
 Status SendSource::total_bytes(Count* out, SimTime& host_cost) {
     if (!ok(init_status_)) return init_status_;
     if (!total_known_) {
@@ -232,26 +211,6 @@ RecvSink::~RecvSink() {
         const auto& g = std::get<GenericDesc>(*desc_);
         if (g.ops.finish != nullptr) g.ops.finish(generic_state_);
     }
-}
-
-RecvSink::RecvSink(RecvSink&& other) noexcept
-    : desc_(other.desc_),
-      regions_(std::move(other.regions_)),
-      generic_state_(other.generic_state_),
-      generic_(other.generic_),
-      inorder_(other.inorder_),
-      init_status_(other.init_status_),
-      capacity_(other.capacity_) {
-    other.generic_state_ = nullptr;
-    other.generic_ = false;
-}
-
-RecvSink& RecvSink::operator=(RecvSink&& other) noexcept {
-    if (this != &other) {
-        this->~RecvSink();
-        new (this) RecvSink(std::move(other));
-    }
-    return *this;
 }
 
 bool RecvSink::exposes_memory() const noexcept { return !generic_; }

@@ -26,8 +26,8 @@ public:
     ~SendSource();
     SendSource(const SendSource&) = delete;
     SendSource& operator=(const SendSource&) = delete;
-    SendSource(SendSource&&) noexcept;
-    SendSource& operator=(SendSource&&) noexcept;
+    SendSource(SendSource&&) = delete;
+    SendSource& operator=(SendSource&&) = delete;
 
     // Total bytes this source will produce on the wire. For generic
     // sources this calls the packed_size callback (measured).
@@ -73,8 +73,8 @@ public:
     ~RecvSink();
     RecvSink(const RecvSink&) = delete;
     RecvSink& operator=(const RecvSink&) = delete;
-    RecvSink(RecvSink&&) noexcept;
-    RecvSink& operator=(RecvSink&&) noexcept;
+    RecvSink(RecvSink&&) = delete;
+    RecvSink& operator=(RecvSink&&) = delete;
 
     // Maximum bytes this sink can absorb (receive-buffer capacity).
     [[nodiscard]] Count capacity() const noexcept { return capacity_; }

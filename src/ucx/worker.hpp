@@ -2,18 +2,30 @@
 //
 // Protocols, chosen per message exactly as the paper describes for its
 // UCX-based prototype:
-//  - eager   (payload <= eager_threshold): single packet; receive side pays
-//    a host bounce-buffer copy (or the generic unpack callback).
-//  - rendezvous (payload > threshold): RTS -> CTS handshake, then either
-//      * zero-copy RDMA when the receive side exposes raw memory
-//        (CONTIG / IOV descriptors) — the data never touches a bounce
-//        buffer, matching UCX's get/put-based rendezvous, or
-//      * a pipelined fragment protocol when either side is GENERIC
-//        (pack/unpack callbacks are invoked per fragment with virtual
-//        offsets, exactly the paper's Listing 4 contract).
-// Messages with multiple memory regions use scatter-gather descriptors and
-// pay a per-entry NIC cost (UCP_DATATYPE_IOV equivalent).
+//  - eager   (payload < eager_threshold): one packet; the receive side pays
+//    a host bounce-buffer copy (or the generic unpack callback);
+//  - rendezvous: RTS -> CTS handshake, then either
+//      * RDMA when the receive side exposes raw memory (CONTIG / IOV): the
+//        sender writes straight into the receiver's regions (DMA, or a
+//        bounce fragment packed by a generic source) and sends a FIN, or
+//      * a fragment pipeline when the receive side is GENERIC: pack and
+//        unpack callbacks run per fragment with virtual offsets, the
+//        paper's Listing 4 contract.
+// Multi-region messages pay a per-entry scatter-gather cost
+// (UCP_DATATYPE_IOV equivalent).
 //
+// Each protocol step has one implementation, shared by all three
+// protocols; what remains in the eager, RDMA and pipeline code is what
+// differs between them:
+//  - packet_to()          builds every outgoing data/control packet;
+//  - pack_locked()        one source read: measured pack time, throughput
+//                         and fragment-size metrics, empty read = err_pack;
+//  - unpack_locked()      one sink write: modeled copy or measured callback;
+//  - finish_send_locked() completes a send now, or once every packet it
+//                         owns is acknowledged (reliable mode);
+//  - handle_arrival_locked() turns an eager packet or RTS into an
+//    UnexpectedMsg that deliver_locked() hands to a posted receive (also
+//    used by tag_recv and imrecv) or the matcher parks.
 // Tag matching is delegated to TagMatcher (ucx/matcher.hpp): hashed
 // mask-group buckets. See docs/MATCHING.md.
 //
@@ -184,15 +196,30 @@ public:
 
 private:
     struct Request;
-    struct PendingSend;
 
-    RequestId alloc_request_locked();
+    // Create and register a (receive) request with the next id.
+    Request& add_request_locked(Tag tag, BufferDesc&& desc);
     void complete_locked(Request& rq, Status st, Count len, Tag sender_tag);
 
     void start_send_locked(Request& rq);
+    // Every outgoing data/control packet: addressed from this endpoint and
+    // stamped with the request's message id and sender post time.
+    [[nodiscard]] netsim::Packet packet_to(int dst, std::uint16_t kind,
+                                           ByteVec header,
+                                           const Request& rq) const;
+    // Read dst.size() bytes at `offset` from the send source, charging the
+    // measured pack time; an empty read where bytes were asked is err_pack.
+    Status pack_locked(Request& rq, Count offset, MutBytes dst, Count* used);
+    // Write `bytes` at `offset` into the receive sink, charging the modeled
+    // copy (memory sink) or the measured unpack callback (generic sink).
+    Status unpack_locked(Request& rq, Count offset, ConstBytes bytes);
+    // Complete a send with (st, len), or defer to the ack of its last
+    // owned packet when the reliable protocol has any outstanding.
+    void finish_send_locked(Request& rq, Status st, Count len);
+
     void handle_packet_locked(netsim::Packet&& pkt);
-    void handle_eager_locked(netsim::Packet&& pkt);
-    void handle_rts_locked(netsim::Packet&& pkt);
+    // Eager packet or RTS: deliver to a posted receive or park unexpected.
+    void handle_arrival_locked(netsim::Packet&& pkt);
     void handle_cts_locked(netsim::Packet&& pkt);
     void handle_fin_locked(netsim::Packet&& pkt);
     void handle_frag_locked(netsim::Packet&& pkt);
@@ -209,10 +236,9 @@ private:
     // the protocol mutex. Returns false when the packet was consumed.
     bool admit_data_packet(netsim::Packet& pkt);
     void handle_ack_locked(const netsim::Packet& pkt);
-    void send_ack_locked(const netsim::Packet& pkt);
-    // Re-ack a suppressed duplicate from admission context (no protocol
-    // lock held; the ack is timed off the duplicate's arrival).
-    void send_dup_ack(const netsim::Packet& pkt);
+    // Acknowledge `pkt`, sent at virtual time `at`. Needs no protocol lock:
+    // admission re-acks duplicates with it too.
+    void send_ack(const netsim::Packet& pkt, SimTime at);
     // Fire due retransmit timers and operation watchdogs; returns true if
     // anything fired.
     bool fire_timers_locked();
@@ -222,21 +248,24 @@ private:
     void fail_request_locked(RequestId id, Status st);
     void refresh_reliable_locked();
 
-    // Deliver a matched eager payload / RTS to a posted receive request.
-    void match_eager_locked(Request& rq, Tag sender_tag, PooledBuf&& payload,
-                            SimTime arrival);
-    void match_rts_locked(Request& rq, Tag sender_tag, int src, Count total_len,
-                          std::uint64_t sender_op, SimTime arrival);
-
-    Request* find_posted_locked(Tag tag);
-    void send_cts_locked(Request& rq, int src, std::uint64_t sender_op);
+    // Adopt a matched eager payload / RTS into a posted receive request:
+    // take its message id, build the sink, then run the protocol's match.
+    void deliver_locked(Request& rq, UnexpectedMsg&& u);
+    void match_eager_locked(Request& rq, const UnexpectedMsg& u);
+    void match_rts_locked(Request& rq, const UnexpectedMsg& u);
     // Record how long an unexpected message waited for its receive.
     void note_unexpected_dwell_locked(const UnexpectedMsg& u);
+
+    // Counters with the admission-context atomics folded in.
+    [[nodiscard]] WorkerStats stats_locked() const;
 
     // Flight-recorder dump of this worker's protocol state (in-flight
     // request table, retransmit queue, per-peer dedup/rendezvous state).
     // Caller must hold (or be unable to ever share) mutex_.
     void dump_state_locked(std::FILE* out) const;
+    // The same dump for triggers that do not hold mutex_: try_lock, and
+    // report the worker as busy rather than deadlock.
+    void dump_state_try_lock(std::FILE* out);
 
     netsim::Fabric& fabric_;
     const netsim::WireParams& params_;
@@ -295,7 +324,7 @@ private:
     // stats() snapshots.
     std::atomic<std::uint64_t> adm_dups_{0};
     std::atomic<std::uint64_t> adm_corruption_{0};
-    std::atomic<std::uint64_t> adm_acks_sent_{0};
+    std::atomic<std::uint64_t> acks_sent_{0}; // every ack, locked or not
 
     // Completion registry: done requests by id. comp_mutex_ is only ever
     // acquired after (or without) mutex_, never before it.

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "base/pool.hpp"
 #include "netsim/fault.hpp"
 #include "test_util.hpp"
 #include "ucx/worker.hpp"
@@ -14,8 +17,10 @@ namespace {
 
 using netsim::Fabric;
 
-struct UcxPair : ::testing::Test {
-    UcxPair() : fabric(2, test::test_params()), w0(fabric, 0), w1(fabric, 1) {}
+// Two workers on one fabric, driven by hand (no Universe).
+struct WorkerPair {
+    WorkerPair(const netsim::WireParams& params, const netsim::FaultConfig& faults)
+        : fabric(2, params, faults), w0(fabric, 0), w1(fabric, 1) {}
 
     // One progress step over both workers. When neither finds work and a
     // timer is pending (retransmit / dup-ack / watchdog — armed whenever
@@ -52,6 +57,10 @@ struct UcxPair : ::testing::Test {
 
     Fabric fabric;
     Worker w0, w1;
+};
+
+struct UcxPair : ::testing::Test, WorkerPair {
+    UcxPair() : WorkerPair(test::test_params(), netsim::FaultConfig::from_env()) {}
 };
 
 TEST_F(UcxPair, EagerContigRoundTrip) {
@@ -557,6 +566,187 @@ TEST_F(UcxPair, VirtualTimeAdvancesWithTransfer) {
     EXPECT_GT(rc.vtime, before);
     // At least one wire latency must have elapsed.
     EXPECT_GE(rc.vtime, test::test_params().latency_us);
+}
+
+// A generic datatype whose callbacks fail on demand. Fragment k is the
+// k-th rndv_frag_size slice of the packed stream (the eager packet is
+// fragment 0). Counts started and finished states so the test can check
+// that every state the worker created is freed exactly once.
+struct FailingType {
+    bool fail_start = false;
+    int fail_at = -1; // fragment whose pack / unpack fails
+    int starts = 0;
+    int finishes = 0;
+};
+struct FailingState {
+    FailingType* type;
+    const std::byte* src;
+    std::byte* dst;
+    Count len;
+};
+constexpr Count kFailFrag = 1024;
+
+Status failing_start(void* ctx, const std::byte* src, std::byte* dst, Count count,
+                     void** state, Status err) {
+    auto* t = static_cast<FailingType*>(ctx);
+    if (t->fail_start) return err;
+    ++t->starts;
+    *state = new FailingState{t, src, dst, count};
+    return Status::success;
+}
+Status failing_start_pack(void* ctx, const void* buf, Count count, void** state) {
+    return failing_start(ctx, static_cast<const std::byte*>(buf), nullptr, count,
+                         state, Status::err_pack);
+}
+Status failing_start_unpack(void* ctx, void* buf, Count count, void** state) {
+    return failing_start(ctx, nullptr, static_cast<std::byte*>(buf), count, state,
+                         Status::err_unpack);
+}
+Status failing_packed_size(void* state, Count* size) {
+    *size = static_cast<FailingState*>(state)->len;
+    return Status::success;
+}
+Status failing_pack(void* state, Count offset, void* dst, Count dst_size,
+                    Count* used) {
+    auto* st = static_cast<FailingState*>(state);
+    if (offset / kFailFrag == st->type->fail_at) return Status::err_pack;
+    *used = std::min(dst_size, st->len - offset);
+    std::memcpy(dst, st->src + offset, static_cast<std::size_t>(*used));
+    return Status::success;
+}
+Status failing_unpack(void* state, Count offset, const void* src, Count src_size) {
+    auto* st = static_cast<FailingState*>(state);
+    if (offset / kFailFrag == st->type->fail_at) return Status::err_unpack;
+    std::memcpy(st->dst + offset, src, static_cast<std::size_t>(src_size));
+    return Status::success;
+}
+void failing_finish(void* state) {
+    auto* st = static_cast<FailingState*>(state);
+    ++st->type->finishes;
+    delete st;
+}
+
+GenericDesc failing_desc(FailingType& type, const void* send_buf, void* recv_buf,
+                         Count count) {
+    GenericDesc g;
+    g.ops.start_pack = failing_start_pack;
+    g.ops.start_unpack = failing_start_unpack;
+    g.ops.packed_size = failing_packed_size;
+    g.ops.pack = failing_pack;
+    g.ops.unpack = failing_unpack;
+    g.ops.finish = failing_finish;
+    g.ops.ctx = &type;
+    g.send_buf = send_buf;
+    g.recv_buf = recv_buf;
+    g.count = count;
+    return g;
+}
+
+// Every failure path of the three protocols ends in a defined status on
+// both sides, frees each datatype state once, leaks no pooled buffer and
+// leaves both workers idle. Runs on the lossless fabric and under the
+// reliable protocol (plus whatever MPICD_FAULT_* the environment arms).
+TEST_F(UcxPair, FailurePathsEndInDefinedStatus) {
+    enum class Recv { generic, contig };
+    struct Case {
+        const char* name;
+        Count bytes;
+        Recv recv;
+        FailingType send_type, recv_type;
+        Status send_status;
+        Count send_len;
+        std::optional<Status> recv_status; // nullopt: the receive stays posted
+        Count recv_len;
+    };
+    constexpr Count kEager = 200;     // below the 256-byte eager threshold
+    constexpr Count kRndv = 4 * kFailFrag;
+    const FailingType ok_type;
+    const auto fail_at = [](int k) {
+        FailingType t;
+        t.fail_at = k;
+        return t;
+    };
+    FailingType fail_start;
+    fail_start.fail_start = true;
+    const std::vector<Case> cases = {
+        {"source init fails", kEager, Recv::generic, fail_start, ok_type,
+         Status::err_pack, 0, std::nullopt, 0},
+        {"pipeline pack fails at fragment 0", kRndv, Recv::generic, fail_at(0),
+         ok_type, Status::err_pack, 0, Status::err_pack, 0},
+        {"pipeline pack fails at fragment 2", kRndv, Recv::generic, fail_at(2),
+         ok_type, Status::err_pack, 2048, Status::err_pack, 2048},
+        {"pipeline pack fails at fragment 3", kRndv, Recv::generic, fail_at(3),
+         ok_type, Status::err_pack, 3072, Status::err_pack, 3072},
+        {"pipeline unpack fails at fragment 0", kRndv, Recv::generic, ok_type,
+         fail_at(0), Status::success, kRndv, Status::err_unpack, 1024},
+        {"pipeline unpack fails at fragment 2", kRndv, Recv::generic, ok_type,
+         fail_at(2), Status::success, kRndv, Status::err_unpack, 3072},
+        {"rdma bounce pack fails at fragment 2", kRndv, Recv::contig, fail_at(2),
+         ok_type, Status::err_pack, 2048, Status::err_pack, 2048},
+        {"eager pack fails", kEager, Recv::generic, fail_at(0), ok_type,
+         Status::err_pack, 0, std::nullopt, 0},
+        {"eager start_unpack fails", kEager, Recv::generic, ok_type, fail_start,
+         Status::success, kEager, Status::err_unpack, 0},
+        {"rendezvous start_unpack fails", kRndv, Recv::generic, ok_type,
+         fail_start, Status::err_truncate, 0, Status::err_unpack, 0},
+        {"eager unpack fails", kEager, Recv::generic, ok_type, fail_at(0),
+         Status::success, kEager, Status::err_unpack, kEager},
+    };
+
+    for (const bool force_reliable : {false, true}) {
+        for (Case c : cases) {
+            SCOPED_TRACE(std::string(c.name) +
+                         (force_reliable ? " (reliable)" : " (lossless)"));
+            const std::uint64_t pool_before = BufferPool::instance().outstanding();
+            {
+                netsim::FaultConfig faults = netsim::FaultConfig::from_env();
+                faults.force_reliable = force_reliable;
+                WorkerPair pair(test::rndv_params(256), faults);
+                const bool reliable = pair.fabric.reliable();
+                const ByteVec src = test::pattern_bytes(static_cast<std::size_t>(c.bytes));
+                ByteVec dst(src.size());
+                const auto rid = pair.w1.tag_recv(
+                    7, ~Tag{0},
+                    c.recv == Recv::contig
+                        ? BufferDesc(make_contig_recv(dst.data(), c.bytes))
+                        : BufferDesc(failing_desc(c.recv_type, nullptr, dst.data(),
+                                                  c.bytes)));
+                const auto sid = pair.w0.tag_send(
+                    1, 7, failing_desc(c.send_type, src.data(), nullptr, c.bytes));
+
+                const Completion sc = pair.take(pair.w0, sid);
+                EXPECT_EQ(sc.status, c.send_status);
+                EXPECT_EQ(sc.received_len, c.send_len);
+                if (c.recv_status) {
+                    const Completion rc = pair.take(pair.w1, rid);
+                    EXPECT_EQ(rc.status, *c.recv_status);
+                    EXPECT_EQ(rc.received_len, c.recv_len);
+                    if (c.send_status == Status::err_pack && c.bytes == kRndv &&
+                        c.recv == Recv::generic) {
+                        // The broken-stream FIN is owned by the send: under
+                        // the reliable protocol the send completes once the
+                        // FIN is acknowledged, after the receiver saw it.
+                        EXPECT_EQ(sc.vtime > rc.vtime, reliable);
+                    }
+                } else {
+                    for (int i = 0; i < 1000; ++i) pair.drive();
+                    EXPECT_FALSE(pair.w1.is_complete(rid));
+                    EXPECT_TRUE(pair.w1.cancel_recv(rid));
+                }
+                for (int i = 0; i < 1'000'000 &&
+                                !(pair.w0.idle() && pair.w1.idle() &&
+                                  pair.fabric.inbox_empty(0) &&
+                                  pair.fabric.inbox_empty(1));
+                     ++i)
+                    pair.drive();
+                EXPECT_TRUE(pair.w0.idle());
+                EXPECT_TRUE(pair.w1.idle());
+                EXPECT_EQ(BufferPool::instance().outstanding(), pool_before);
+            }
+            EXPECT_EQ(c.send_type.finishes, c.send_type.starts);
+            EXPECT_EQ(c.recv_type.finishes, c.recv_type.starts);
+        }
+    }
 }
 
 } // namespace

@@ -38,6 +38,9 @@
 # observer — the reliability protocol and every collective must behave
 # identically with the rings recording. MPICD_SKIP_TRACE=1 skips it.
 #
+# Every leg runs even when an earlier one fails; the script then prints
+# the failing legs and exits non-zero if there were any.
+#
 # Usage: tools/run_faults_matrix.sh [build-dir] (default: build)
 set -euo pipefail
 
@@ -50,6 +53,7 @@ fi
 SEEDS=(1 42 999983)
 EXCLUDE='test_netsim|test_engine|bench_compare'
 JOBS=${CTEST_PARALLEL_LEVEL:-4}
+FAILED=()
 
 # --repeat until-pass:2 absorbs the pre-existing scheduler-dependent flake in
 # test_engine's rail-striping race (flaky on the lossless seed as well).
@@ -58,80 +62,96 @@ run_ctest() {
           --repeat until-pass:2 "$@"
 }
 
-echo "=== faults off: full suite ==="
-run_ctest
+# Run one leg in a subshell (its environment stays local). A failing leg is
+# recorded, not fatal. Errexit does not apply inside the leg, so multi-step
+# legs chain their steps with &&.
+leg() {
+    local name=$1
+    shift
+    echo "=== $name ==="
+    if ! ( "$@" ); then
+        echo "=== $name: FAILED ==="
+        FAILED+=("$name")
+    fi
+}
+
+# The lossy fault configuration shared by every faults-on leg.
+export_lossy() {
+    export MPICD_FAULT_SEED=$1 \
+           MPICD_FAULT_DROP=0.01 \
+           MPICD_FAULT_DUP=0.01 \
+           MPICD_FAULT_REORDER=0.01 \
+           MPICD_FAULT_CORRUPT=0.01
+}
+
+seed_leg() {
+    export_lossy "$1"
+    export MPICD_FAULT_DELAY=0.05 MPICD_FAULT_DELAY_US=10
+    run_ctest -E "$EXCLUDE"
+}
+
+asan_leg() {
+    local dir=${BUILD_DIR}-asan
+    cmake -B "$dir" -S . \
+          -DMPICD_SANITIZE=address \
+          -DMPICD_BUILD_BENCH=OFF \
+          -DMPICD_BUILD_EXAMPLES=OFF >/dev/null &&
+    cmake --build "$dir" -j "$JOBS" --target \
+          test_base test_ucx test_faults test_reliability_soak &&
+    export_lossy 42 &&
+    ctest --test-dir "$dir" -j "$JOBS" --output-on-failure \
+          --repeat until-pass:2 \
+          -R 'test_base|test_ucx|test_faults|test_reliability_soak'
+}
+
+tsan_leg() {
+    local dir=${BUILD_DIR}-tsan
+    cmake -B "$dir" -S . \
+          -DMPICD_SANITIZE=thread \
+          -DMPICD_BUILD_BENCH=OFF \
+          -DMPICD_BUILD_EXAMPLES=OFF >/dev/null &&
+    cmake --build "$dir" -j "$JOBS" --target \
+          test_ucx test_matcher test_reliability_soak \
+          test_collectives test_coll_faults &&
+    export_lossy 42 &&
+    ctest --test-dir "$dir" -j "$JOBS" --output-on-failure \
+          --repeat until-pass:2 \
+          -R 'test_ucx|test_matcher|test_reliability_soak|test_collectives|test_coll_faults'
+}
+
+trace_leg() {
+    export_lossy 42
+    export MPICD_TRACE=1 MPICD_FAULT_DELAY=0.05 MPICD_FAULT_DELAY_US=10
+    run_ctest -R 'test_trace|test_faults|test_coll_faults|test_collectives'
+}
+
+leg "faults off: full suite" run_ctest
 
 for seed in "${SEEDS[@]}"; do
-    echo "=== faults on: seed=$seed (excluding: $EXCLUDE) ==="
-    MPICD_FAULT_SEED=$seed \
-    MPICD_FAULT_DROP=0.01 \
-    MPICD_FAULT_DUP=0.01 \
-    MPICD_FAULT_REORDER=0.01 \
-    MPICD_FAULT_CORRUPT=0.01 \
-    MPICD_FAULT_DELAY=0.05 \
-    MPICD_FAULT_DELAY_US=10 \
-    run_ctest -E "$EXCLUDE"
+    leg "faults on: seed=$seed (excluding: $EXCLUDE)" seed_leg "$seed"
 done
 
 if [[ "${MPICD_SKIP_ASAN:-0}" != "1" ]]; then
-    ASAN_DIR=${BUILD_DIR}-asan
-    ASAN_TESTS='test_base|test_ucx|test_faults|test_reliability_soak'
-    echo "=== asan leg: configuring $ASAN_DIR ==="
-    cmake -B "$ASAN_DIR" -S . \
-          -DMPICD_SANITIZE=address \
-          -DMPICD_BUILD_BENCH=OFF \
-          -DMPICD_BUILD_EXAMPLES=OFF >/dev/null
-    cmake --build "$ASAN_DIR" -j "$JOBS" --target \
-          test_base test_ucx test_faults test_reliability_soak
-    echo "=== asan leg: lossy datapath tests under AddressSanitizer ==="
-    MPICD_FAULT_SEED=42 \
-    MPICD_FAULT_DROP=0.01 \
-    MPICD_FAULT_DUP=0.01 \
-    MPICD_FAULT_REORDER=0.01 \
-    MPICD_FAULT_CORRUPT=0.01 \
-    ctest --test-dir "$ASAN_DIR" -j "$JOBS" --output-on-failure \
-          --repeat until-pass:2 -R "$ASAN_TESTS"
+    leg "asan leg: lossy datapath tests under AddressSanitizer" asan_leg
 else
     echo "=== asan leg: skipped (MPICD_SKIP_ASAN=1) ==="
 fi
 
 if [[ "${MPICD_SKIP_TSAN:-0}" != "1" ]]; then
-    TSAN_DIR=${BUILD_DIR}-tsan
-    TSAN_TESTS='test_ucx|test_matcher|test_reliability_soak|test_collectives|test_coll_faults'
-    echo "=== tsan leg: configuring $TSAN_DIR ==="
-    cmake -B "$TSAN_DIR" -S . \
-          -DMPICD_SANITIZE=thread \
-          -DMPICD_BUILD_BENCH=OFF \
-          -DMPICD_BUILD_EXAMPLES=OFF >/dev/null
-    cmake --build "$TSAN_DIR" -j "$JOBS" --target \
-          test_ucx test_matcher test_reliability_soak \
-          test_collectives test_coll_faults
-    echo "=== tsan leg: matcher + threaded soak under ThreadSanitizer ==="
-    MPICD_FAULT_SEED=42 \
-    MPICD_FAULT_DROP=0.01 \
-    MPICD_FAULT_DUP=0.01 \
-    MPICD_FAULT_REORDER=0.01 \
-    MPICD_FAULT_CORRUPT=0.01 \
-    ctest --test-dir "$TSAN_DIR" -j "$JOBS" --output-on-failure \
-          --repeat until-pass:2 -R "$TSAN_TESTS"
+    leg "tsan leg: matcher + threaded soak under ThreadSanitizer" tsan_leg
 else
     echo "=== tsan leg: skipped (MPICD_SKIP_TSAN=1) ==="
 fi
 
 if [[ "${MPICD_SKIP_TRACE:-0}" != "1" ]]; then
-    TRACE_TESTS='test_trace|test_faults|test_coll_faults|test_collectives'
-    echo "=== trace leg: lossy seed 42 with MPICD_TRACE=1 ==="
-    MPICD_TRACE=1 \
-    MPICD_FAULT_SEED=42 \
-    MPICD_FAULT_DROP=0.01 \
-    MPICD_FAULT_DUP=0.01 \
-    MPICD_FAULT_REORDER=0.01 \
-    MPICD_FAULT_CORRUPT=0.01 \
-    MPICD_FAULT_DELAY=0.05 \
-    MPICD_FAULT_DELAY_US=10 \
-    run_ctest -R "$TRACE_TESTS"
+    leg "trace leg: lossy seed 42 with MPICD_TRACE=1" trace_leg
 else
     echo "=== trace leg: skipped (MPICD_SKIP_TRACE=1) ==="
 fi
 
+if ((${#FAILED[@]} > 0)); then
+    echo "=== fault matrix: ${#FAILED[@]} leg(s) failed ==="
+    printf '  - %s\n' "${FAILED[@]}"
+    exit 1
+fi
 echo "=== fault matrix: all passes green ==="
