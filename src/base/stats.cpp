@@ -30,8 +30,6 @@ double RunningStats::stddev() const noexcept {
 
 PackStatsSnapshot PackStats::snapshot() const noexcept {
     PackStatsSnapshot s;
-    s.plan_cache_hits = plan_cache_hits.load(std::memory_order_relaxed);
-    s.plan_cache_misses = plan_cache_misses.load(std::memory_order_relaxed);
     s.plans_compiled = plans_compiled.load(std::memory_order_relaxed);
     s.kernel_bytes = kernel_bytes.load(std::memory_order_relaxed);
     s.generic_bytes = generic_bytes.load(std::memory_order_relaxed);
@@ -43,8 +41,6 @@ PackStatsSnapshot PackStats::snapshot() const noexcept {
 }
 
 void PackStats::reset() noexcept {
-    plan_cache_hits.store(0, std::memory_order_relaxed);
-    plan_cache_misses.store(0, std::memory_order_relaxed);
     plans_compiled.store(0, std::memory_order_relaxed);
     kernel_bytes.store(0, std::memory_order_relaxed);
     generic_bytes.store(0, std::memory_order_relaxed);
@@ -57,10 +53,6 @@ void PackStats::reset() noexcept {
 void PackStats::print(std::FILE* out) const {
     const PackStatsSnapshot s = snapshot();
     std::fprintf(out, "# pack-path stats\n");
-    std::fprintf(out, "plan_cache_hits      %llu\n",
-                 static_cast<unsigned long long>(s.plan_cache_hits));
-    std::fprintf(out, "plan_cache_misses    %llu\n",
-                 static_cast<unsigned long long>(s.plan_cache_misses));
     std::fprintf(out, "plans_compiled       %llu\n",
                  static_cast<unsigned long long>(s.plans_compiled));
     std::fprintf(out, "kernel_bytes         %llu\n",
@@ -85,8 +77,6 @@ PackStats& pack_stats() noexcept {
 
 void append_pack_metrics(std::vector<MetricSample>& out) {
     const PackStatsSnapshot s = pack_stats().snapshot();
-    out.push_back({"pack", "plan_cache_hits", s.plan_cache_hits});
-    out.push_back({"pack", "plan_cache_misses", s.plan_cache_misses});
     out.push_back({"pack", "plans_compiled", s.plans_compiled});
     out.push_back({"pack", "kernel_bytes", s.kernel_bytes});
     out.push_back({"pack", "generic_bytes", s.generic_bytes});

@@ -1,7 +1,7 @@
 // Streaming statistics accumulator used by the benchmark harness to report
 // mean / min / max / stddev over repeated ping-pong iterations (the paper
 // reports the average of four runs with error bars), plus the global
-// pack-path counters (plan cache, copy kernels, iovec coalescing, parallel
+// pack-path counters (plan compiles, copy kernels, iovec coalescing, parallel
 // pack engine) that the benches print under MPICD_PACK_STATS=1.
 #pragma once
 
@@ -41,8 +41,6 @@ private:
 // pack/unpack call, so the counters are cheap enough to stay always-on.
 
 struct PackStatsSnapshot {
-    std::uint64_t plan_cache_hits = 0;
-    std::uint64_t plan_cache_misses = 0;
     std::uint64_t plans_compiled = 0;
     std::uint64_t kernel_bytes = 0;    // packed/unpacked via compiled-plan kernels
     std::uint64_t generic_bytes = 0;   // packed/unpacked via the generic segment loop
@@ -54,8 +52,6 @@ struct PackStatsSnapshot {
 
 class PackStats {
 public:
-    std::atomic<std::uint64_t> plan_cache_hits{0};
-    std::atomic<std::uint64_t> plan_cache_misses{0};
     std::atomic<std::uint64_t> plans_compiled{0};
     std::atomic<std::uint64_t> kernel_bytes{0};
     std::atomic<std::uint64_t> generic_bytes{0};

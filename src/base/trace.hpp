@@ -4,9 +4,8 @@
 // Every instrumented site records a compact event into a per-thread ring
 // buffer carrying two timestamps: wall time (microseconds since the trace
 // epoch, a steady clock) and, where the site knows it, the rank's virtual
-// netsim time. Whole operations can then be read on one timeline: plan
-// cache hit -> pack fragments -> SG lowering -> eager/rendezvous packets
-// -> acks/retransmits.
+// netsim time. Whole operations can then be read on one timeline: pack
+// fragments -> SG lowering -> eager/rendezvous packets -> acks/retransmits.
 //
 // Overhead contract: with tracing disabled (the default) every site costs
 // exactly one branch on a cached atomic flag — no locks, no allocation,

@@ -156,9 +156,9 @@ void coalesce_entries(std::vector<IovEntry>& entries) {
 // --- Descriptor skeleton hints ------------------------------------------
 //
 // The user callbacks (query/region) must run for every operation — packed
-// size and region layout may depend on object contents — so unlike the
-// derived-datatype plan cache the custom path cannot reuse lowered
-// descriptors outright. What repeats is the descriptor *skeleton*: entry
+// size and region layout may depend on object contents — so unlike a
+// derived datatype, whose plan is fixed at commit, the custom path cannot
+// reuse lowered descriptors outright. What repeats is the descriptor *skeleton*: entry
 // counts for the same (type, count) pair. Remember them and pre-reserve,
 // so steady-state lowering does no vector growth.
 struct SkeletonHint {
@@ -219,7 +219,7 @@ Status lower_custom_send(const CustomDatatype& type, const void* buf, Count coun
     SimTime host_cost = 0.0;
     void* state = nullptr;
     Status st = Status::success;
-    std::shared_ptr<ByteVec> backing;
+    std::shared_ptr<std::byte[]> staging;
     std::vector<IovEntry> entries;
     {
         const ScopedMeasure measure(host_cost);
@@ -229,7 +229,10 @@ Status lower_custom_send(const CustomDatatype& type, const void* buf, Count coun
         if (ok(st)) st = type.callbacks().query(state, buf, count, &packed);
         if (ok(st) && packed < 0) st = Status::err_query;
         if (ok(st) && packed > 0) {
-            backing = std::make_shared<ByteVec>(static_cast<std::size_t>(packed));
+            // Every byte is written by the pack loop below, or the send
+            // fails: no zero-fill.
+            staging = std::make_shared_for_overwrite<std::byte[]>(
+                static_cast<std::size_t>(packed));
             const Count frag = custom_pack_frag_size();
             Count offset = 0;
             SimTime pack_cost = 0.0;
@@ -241,7 +244,7 @@ Status lower_custom_send(const CustomDatatype& type, const void* buf, Count coun
                     frag_span.arg0("offset", static_cast<std::uint64_t>(offset));
                     Count used = 0;
                     st = type.callbacks().pack(state, buf, count, offset,
-                                               backing->data() + offset, want, &used);
+                                               staging.get() + offset, want, &used);
                     if (ok(st) && (used <= 0 || used > want)) st = Status::err_pack;
                     if (ok(st)) offset += used;
                     frag_span.arg1("used",
@@ -257,7 +260,7 @@ Status lower_custom_send(const CustomDatatype& type, const void* buf, Count coun
                 hist.record(static_cast<std::uint64_t>(
                     static_cast<double>(packed) / pack_cost));
             }
-            if (ok(st)) entries.push_back({backing->data(), packed});
+            if (ok(st)) entries.push_back({staging.get(), packed});
         }
         if (ok(st)) {
             Count region_bytes = 0;
@@ -284,7 +287,7 @@ Status lower_custom_send(const CustomDatatype& type, const void* buf, Count coun
 
     ucx::IovDesc iov;
     iov.entries = std::move(entries);
-    iov.backing = std::move(backing);
+    iov.backing = std::move(staging);
     *out = std::move(iov);
     return Status::success;
 }
@@ -318,16 +321,19 @@ CustomRecvOp& CustomRecvOp::operator=(CustomRecvOp&& other) noexcept {
     return *this;
 }
 
-Status CustomRecvOp::finish(ucx::Worker& worker) {
+Status CustomRecvOp::finish(ucx::Worker& worker, Status transport, Count received) {
     if (finished_) return Status::success;
+    // Unpack only a complete message: a failed or short transfer leaves
+    // part of the staging unwritten, and the user object must not see it.
+    Status st = transport;
+    if (ok(st) && received != total_) st = Status::err_type;
     trace::Span span("engine", "custom_unpack");
-    span.arg0("bytes", static_cast<std::uint64_t>(packed_size_));
+    span.arg0("bytes", ok(st) ? static_cast<std::uint64_t>(packed_size_) : 0);
     SimTime host_cost = 0.0;
-    Status st = Status::success;
     {
         const ScopedMeasure measure(host_cost);
-        if (packed_size_ > 0) {
-            st = type_->callbacks().unpack(state_, buf_, count_, 0, packed_->data(),
+        if (ok(st) && packed_size_ > 0) {
+            st = type_->callbacks().unpack(state_, buf_, count_, 0, packed_.get(),
                                            packed_size_);
         }
         type_->free_state(state_);
@@ -361,7 +367,7 @@ Status lower_custom_recv(const CustomDatatype& type, void* buf, Count count,
     void* state = nullptr;
     Status st = Status::success;
     Count packed = 0;
-    std::shared_ptr<ByteVec> backing;
+    std::shared_ptr<std::byte[]> staging;
     std::vector<IovEntry> entries;
     Count region_bytes = 0;
     {
@@ -371,8 +377,11 @@ Status lower_custom_recv(const CustomDatatype& type, void* buf, Count count,
         if (ok(st)) st = type.callbacks().query(state, buf, count, &packed);
         if (ok(st) && packed < 0) st = Status::err_query;
         if (ok(st) && packed > 0) {
-            backing = std::make_shared<ByteVec>(static_cast<std::size_t>(packed));
-            entries.push_back({backing->data(), packed});
+            // Unpacked only once the transport has filled all of it
+            // (CustomRecvOp::finish): no zero-fill.
+            staging = std::make_shared_for_overwrite<std::byte[]>(
+                static_cast<std::size_t>(packed));
+            entries.push_back({staging.get(), packed});
         }
         if (ok(st)) st = collect_regions(type, state, buf, count, entries, &region_bytes);
         if (ok(st)) {
@@ -389,7 +398,7 @@ Status lower_custom_recv(const CustomDatatype& type, void* buf, Count count,
 
     ucx::IovDesc iov;
     iov.entries = std::move(entries);
-    iov.backing = backing;
+    iov.backing = staging;
     out->desc_ = std::move(iov);
     out->type_ = &type;
     out->state_ = state;
@@ -397,7 +406,7 @@ Status lower_custom_recv(const CustomDatatype& type, void* buf, Count count,
     out->count_ = count;
     out->packed_size_ = packed;
     out->total_ = packed + region_bytes;
-    out->packed_ = std::move(backing);
+    out->packed_ = std::move(staging);
     out->finished_ = false;
     return Status::success;
 }

@@ -64,7 +64,7 @@ struct FastPathCounters {
 // Lower a custom-type send buffer. Host work (query/pack callbacks) is
 // measured and charged to `worker`'s virtual clock. On success `out` is
 // ready for Worker::tag_send; all state has been freed (the packed bytes
-// are owned by the descriptor's backing store).
+// are owned by the descriptor's backing anchor).
 [[nodiscard]] Status lower_custom_send(const CustomDatatype& type, const void* buf,
                                        Count count, ucx::Worker& worker,
                                        ucx::BufferDesc* out,
@@ -88,9 +88,12 @@ public:
 
     [[nodiscard]] ucx::BufferDesc& desc() noexcept { return desc_; }
 
-    // Run the deferred unpack (if any); measured time is charged to
-    // `worker`. Idempotent: the second call is a no-op.
-    [[nodiscard]] Status finish(ucx::Worker& worker);
+    // Complete the op with the transport's status and received byte count:
+    // run the deferred unpack only when the transfer succeeded with exactly
+    // expected_total() bytes, otherwise just free the state. A short message
+    // yields err_type; a transport error is returned as is. Measured time is
+    // charged to `worker`. Idempotent: the second call is a no-op.
+    [[nodiscard]] Status finish(ucx::Worker& worker, Status transport, Count received);
 
     [[nodiscard]] Count expected_packed() const noexcept { return packed_size_; }
     [[nodiscard]] Count expected_total() const noexcept { return total_; }
@@ -106,8 +109,8 @@ private:
     Count count_ = 0;
     Count packed_size_ = 0;
     Count total_ = 0;
-    std::shared_ptr<ByteVec> packed_; // shared with desc_ backing
-    bool finished_ = true;            // becomes false when unpack is pending
+    std::shared_ptr<std::byte[]> packed_; // staging, shared with desc_ backing
+    bool finished_ = true;                // becomes false when unpack is pending
 };
 
 [[nodiscard]] Status lower_custom_recv(const CustomDatatype& type, void* buf,

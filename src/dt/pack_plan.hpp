@@ -17,11 +17,8 @@
 // the plan fast path covers every fully-contained element in a fragment,
 // which is where virtually all bytes live.
 //
-// The plan *cache* maps (layout fingerprint, count) to the per-message
-// descriptor context reused by p2p::dt_bridge; see plan_cache_* below and
-// docs/PERF.md for the keying discussion (the type signature alone names
-// the leaf sequence, not the memory layout, so the fingerprint hashes the
-// flattened segments + extent on top of the signature semantics).
+// A plan is compiled once, at commit, and lives on the Datatype; every
+// message of that type reuses it, so there is no per-message plan lookup.
 #pragma once
 
 #include <cstdint>
@@ -78,11 +75,5 @@ void plan_unpack(const PackPlan& plan, std::byte* base, Count nelems,
 // segment-by-segment loop and the seed's lowering behaviour, preserving
 // the paper-reproduction baselines byte for byte.
 [[nodiscard]] bool pack_plan_enabled() noexcept;
-
-// The plan *cache* that reuses lowered per-message descriptors across
-// repeated sends of the same (type, count) lives one layer up, in
-// p2p/dt_bridge (it caches transport descriptor contexts, which dt cannot
-// name). The layout fingerprint it keys on is declared in dt/signature.hpp
-// next to the signature machinery it extends.
 
 } // namespace mpicd::dt

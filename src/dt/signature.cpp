@@ -40,26 +40,6 @@ bool signature_equivalent(const TypeRef& a, Count na, const TypeRef& b, Count nb
     return signature(a, na) == signature(b, nb);
 }
 
-std::uint64_t layout_fingerprint(const TypeRef& type) {
-    if (type == nullptr || !type->committed()) return 0;
-    std::uint64_t h = 14695981039346656037ull; // FNV-1a offset basis
-    const auto mix = [&h](Count v) {
-        auto u = static_cast<std::uint64_t>(v);
-        for (int i = 0; i < 8; ++i) {
-            h ^= (u >> (i * 8)) & 0xFF;
-            h *= 1099511628211ull;
-        }
-    };
-    mix(type->extent());
-    mix(type->size());
-    for (const auto& s : type->segments()) {
-        mix(s.offset);
-        mix(s.len);
-    }
-    // Reserve 0 as the "no fingerprint" sentinel.
-    return h == 0 ? 1 : h;
-}
-
 ByteVec signature_bytes(const TypeRef& type, Count count) {
     const auto sig = signature(type, count);
     ByteVec out(sig.size() * (sizeof(Predef) + sizeof(Count)));

@@ -29,13 +29,4 @@ struct SigRun {
 // A stable byte serialization of a signature (for hashing / transmission).
 [[nodiscard]] ByteVec signature_bytes(const TypeRef& type, Count count = 1);
 
-// 64-bit FNV-1a hash of a committed type's *memory layout*: the flattened
-// segment list plus extent and size. The signature names the leaf sequence
-// two equivalent types share, but NOT where their bytes live — two
-// signature-equivalent types may pack completely differently. Plan-cache
-// keys therefore use this fingerprint (equal fingerprints ⇒ identical
-// flattened layout ⇒ a compiled pack plan is shareable). Returns 0 for
-// null/uncommitted types.
-[[nodiscard]] std::uint64_t layout_fingerprint(const TypeRef& type);
-
 } // namespace mpicd::dt

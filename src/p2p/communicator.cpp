@@ -50,7 +50,7 @@ bool Request::finalize_locked_completion(ucx::Completion&& comp, MsgStatus* out)
         // events were attributed to, so the engine's custom_unpack span
         // lands in the same per-message trace group.
         const trace::MsgScope msg_scope(comp.msg_id);
-        const Status st = custom_->finish(*worker_);
+        const Status st = custom_->finish(*worker_, comp.status, comp.received_len);
         if (ok(result_.status) && !ok(st)) result_.status = st;
         result_.vtime = worker_->now();
         custom_.reset();
@@ -308,12 +308,12 @@ Request Communicator::isend_sized(const void* payload, Count n, int dst, int tag
     if (const Status st = check_send(dst, tag); !ok(st))
         return make_error_request(st);
     note_fastpath(core::WireClass::contiguous_resizable, n, /*send=*/true);
-    ucx::IovDesc iov;
-    iov.backing =
-        std::make_shared<ByteVec>(static_cast<std::size_t>(kSizedHeaderBytes));
+    auto hdr = std::make_shared<ByteVec>(static_cast<std::size_t>(kSizedHeaderBytes));
     const std::uint64_t len = static_cast<std::uint64_t>(n);
-    std::memcpy(iov.backing->data(), &len, sizeof len);
-    iov.entries.push_back({iov.backing->data(), kSizedHeaderBytes});
+    std::memcpy(hdr->data(), &len, sizeof len);
+    ucx::IovDesc iov;
+    iov.entries.push_back({hdr->data(), kSizedHeaderBytes});
+    iov.backing = std::move(hdr);
     // The payload entry borrows the user buffer — zero send-side copies.
     if (n > 0) iov.entries.push_back({const_cast<void*>(payload), n});
     return make_request(
@@ -329,8 +329,8 @@ Request Communicator::irecv_sized(std::shared_ptr<ByteVec> hdr, void* payload,
     note_fastpath(core::WireClass::contiguous_resizable, n, /*send=*/false);
     hdr->resize(static_cast<std::size_t>(kSizedHeaderBytes));
     ucx::IovDesc iov;
+    iov.entries.push_back({hdr->data(), kSizedHeaderBytes});
     iov.backing = std::move(hdr);
-    iov.entries.push_back({iov.backing->data(), kSizedHeaderBytes});
     if (n > 0) iov.entries.push_back({payload, n});
     ucx::Tag t = 0, mask = 0;
     encode_recv_tag(src, tag, &t, &mask);

@@ -146,9 +146,9 @@ public:
     // buffer; isend_sized/irecv_sized move a contiguous-resizable payload
     // as a two-entry IOV (staged u64 payload-byte-count + the payload
     // itself, wire-identical to the CustomSerialize<std::vector<U>>
-    // lowering for count == 1). All four skip pack-plan compilation,
-    // descriptor-cache lookups and the pack/unpack callbacks entirely and
-    // account to the fastpath/* counters.
+    // lowering for count == 1). All four skip pack-plan compilation and
+    // the pack/unpack callbacks entirely and account to the fastpath/*
+    // counters.
     [[nodiscard]] Request isend_wire(const void* p, Count n, int dst, int tag);
     [[nodiscard]] Request irecv_wire(void* p, Count n, int src, int tag);
     [[nodiscard]] Request isend_sized(const void* payload, Count n, int dst,

@@ -1,47 +1,34 @@
 #include "p2p/dt_bridge.hpp"
 
-#include <mutex>
-#include <unordered_map>
-#include <utility>
-
-#include "base/stats.hpp"
-#include "base/trace.hpp"
 #include "dt/convertor.hpp"
-#include "dt/pack_plan.hpp"
 #include "dt/par_pack.hpp"
-#include "dt/signature.hpp"
 
 namespace mpicd::p2p {
 
 namespace {
 
-// Context shared by all callbacks of one operation; owned via the
-// descriptor's keepalive anchor. Immutable after construction, so a single
-// instance may back any number of concurrent descriptors — which is what
-// lets the (layout, count) cache below hand the same context to repeated
-// sends of the same shape.
-struct DtCtx {
-    dt::TypeRef type;
-    Count count = 0; // the count this context was built (and cached) for
-};
-
+// Per-operation state. The callback context is the committed Datatype,
+// kept alive by the descriptor's keepalive anchor; the state holds its own
+// TypeRef for the parallel engine, which takes shared ownership.
 struct DtState {
+    dt::TypeRef type;
     dt::Convertor cv;
-    const DtCtx* ctx;
     void* buf;
     Count count;
 };
 
+DtState* new_state(void* ctx, void* buf, Count count) {
+    dt::TypeRef type = static_cast<dt::Datatype*>(ctx)->shared_from_this();
+    return new DtState{type, dt::Convertor(type, buf, count), buf, count};
+}
+
 Status dt_start_pack(void* ctx, const void* buf, Count count, void** state) {
-    auto* c = static_cast<DtCtx*>(ctx);
-    *state = new DtState{dt::Convertor(c->type, const_cast<void*>(buf), count), c,
-                         const_cast<void*>(buf), count};
+    *state = new_state(ctx, const_cast<void*>(buf), count);
     return Status::success;
 }
 
 Status dt_start_unpack(void* ctx, void* buf, Count count, void** state) {
-    auto* c = static_cast<DtCtx*>(ctx);
-    *state = new DtState{dt::Convertor(c->type, buf, count), c, buf, count};
+    *state = new_state(ctx, buf, count);
     return Status::success;
 }
 
@@ -57,7 +44,7 @@ Status dt_pack(void* state, Count offset, void* dst, Count dst_size, Count* used
     // cursor is left untouched; its next use re-seeks as needed.
     if (dt::par_pack_eligible(dst_size)) {
         return dt::parallel_pack_range(
-            s->ctx->type, s->buf, s->count, offset,
+            s->type, s->buf, s->count, offset,
             MutBytes(static_cast<std::byte*>(dst), static_cast<std::size_t>(dst_size)),
             used);
     }
@@ -72,7 +59,7 @@ Status dt_unpack(void* state, Count offset, const void* src, Count src_size) {
     auto* s = static_cast<DtState*>(state);
     if (dt::par_pack_eligible(src_size)) {
         return dt::parallel_unpack_range(
-            s->ctx->type, s->buf, s->count, offset,
+            s->type, s->buf, s->count, offset,
             ConstBytes(static_cast<const std::byte*>(src),
                        static_cast<std::size_t>(src_size)));
     }
@@ -84,79 +71,7 @@ Status dt_unpack(void* state, Count offset, const void* src, Count src_size) {
 
 void dt_finish(void* state) { delete static_cast<DtState*>(state); }
 
-// --- (layout fingerprint, count) -> shared context cache ----------------
-
-struct CacheKey {
-    std::uint64_t fp;
-    Count count;
-    friend bool operator==(const CacheKey&, const CacheKey&) = default;
-};
-
-struct CacheKeyHash {
-    std::size_t operator()(const CacheKey& k) const noexcept {
-        return static_cast<std::size_t>(
-            k.fp ^ (static_cast<std::uint64_t>(k.count) * 0x9E3779B97F4A7C15ull));
-    }
-};
-
-constexpr std::size_t kDescCacheCap = 256;
-
-std::mutex g_cache_mu;
-std::unordered_map<CacheKey, std::shared_ptr<DtCtx>, CacheKeyHash>& cache_map() {
-    static std::unordered_map<CacheKey, std::shared_ptr<DtCtx>, CacheKeyHash> m;
-    return m;
-}
-
-// Fingerprints hash the layout; equal layouts are interchangeable for
-// packing, but a hash collision between different layouts must not alias.
-// Verify the cheap invariants plus the full segment list on every hit.
-bool same_layout(const dt::TypeRef& a, const dt::TypeRef& b) {
-    if (a.get() == b.get()) return true;
-    if (a->extent() != b->extent() || a->size() != b->size()) return false;
-    const auto& sa = a->segments();
-    const auto& sb = b->segments();
-    if (sa.size() != sb.size()) return false;
-    for (std::size_t i = 0; i < sa.size(); ++i) {
-        if (sa[i].offset != sb[i].offset || sa[i].len != sb[i].len) return false;
-    }
-    return true;
-}
-
-std::shared_ptr<DtCtx> lookup_ctx(const dt::TypeRef& type, Count count) {
-    if (!dt::pack_plan_enabled()) return nullptr;
-    const std::uint64_t fp = dt::layout_fingerprint(type);
-    if (fp == 0) return nullptr;
-    const CacheKey key{fp, count};
-    std::lock_guard<std::mutex> lk(g_cache_mu);
-    auto& map = cache_map();
-    if (auto it = map.find(key); it != map.end()) {
-        if (same_layout(it->second->type, type)) {
-            pack_stats().plan_cache_hits.fetch_add(1, std::memory_order_relaxed);
-            trace::instant("p2p", "desc_cache_hit", -1.0, "fp", fp, "count",
-                           static_cast<std::uint64_t>(count));
-            return it->second;
-        }
-        // True fingerprint collision: evict the stale entry and rebuild.
-        map.erase(it);
-    }
-    pack_stats().plan_cache_misses.fetch_add(1, std::memory_order_relaxed);
-    trace::instant("p2p", "desc_cache_miss", -1.0, "fp", fp, "count",
-                   static_cast<std::uint64_t>(count));
-    auto ctx = std::make_shared<DtCtx>();
-    ctx->type = type;
-    ctx->count = count;
-    if (map.size() >= kDescCacheCap) map.erase(map.begin());
-    map.emplace(key, ctx);
-    return ctx;
-}
-
 ucx::GenericDesc make_desc(const dt::TypeRef& type, Count count) {
-    std::shared_ptr<DtCtx> ctx = lookup_ctx(type, count);
-    if (ctx == nullptr) {
-        ctx = std::make_shared<DtCtx>();
-        ctx->type = type;
-        ctx->count = count;
-    }
     ucx::GenericDesc g;
     g.ops.start_pack = dt_start_pack;
     g.ops.start_unpack = dt_start_unpack;
@@ -164,10 +79,10 @@ ucx::GenericDesc make_desc(const dt::TypeRef& type, Count count) {
     g.ops.pack = dt_pack;
     g.ops.unpack = dt_unpack;
     g.ops.finish = dt_finish;
-    g.ops.ctx = ctx.get();
+    g.ops.ctx = type.get();
     g.ops.inorder = true; // the convertor is cheapest when driven in order
     g.count = count;
-    g.keepalive = std::move(ctx);
+    g.keepalive = type;
     return g;
 }
 
@@ -183,16 +98,6 @@ ucx::BufferDesc dt_recv_desc(const dt::TypeRef& type, void* buf, Count count) {
     auto g = make_desc(type, count);
     g.recv_buf = buf;
     return g;
-}
-
-std::size_t desc_cache_size() {
-    std::lock_guard<std::mutex> lk(g_cache_mu);
-    return cache_map().size();
-}
-
-void desc_cache_clear() {
-    std::lock_guard<std::mutex> lk(g_cache_mu);
-    cache_map().clear();
 }
 
 } // namespace mpicd::p2p

@@ -5,12 +5,16 @@
 // baseline the paper's custom API is compared against.
 #pragma once
 
-#include <memory>
-
 #include "dt/datatype.hpp"
 #include "ucx/datatype.hpp"
 
 namespace mpicd::p2p {
+
+// Descriptors carry no per-message context beyond the committed type: the
+// callback context is the Datatype itself (its pack plan lives on it), and
+// the descriptor's keepalive anchor holds a TypeRef, so the caller may drop
+// its own reference while the operation is in flight. Building one costs
+// O(1) host work regardless of how many segments the type has.
 
 // Build a generic send descriptor over (buf, count, type).
 [[nodiscard]] ucx::BufferDesc dt_send_desc(const dt::TypeRef& type, const void* buf,
@@ -19,22 +23,5 @@ namespace mpicd::p2p {
 // Build a generic receive descriptor over (buf, count, type).
 [[nodiscard]] ucx::BufferDesc dt_recv_desc(const dt::TypeRef& type, void* buf,
                                            Count count);
-
-// --- Descriptor-context cache -------------------------------------------
-//
-// Descriptors built above share an immutable per-(layout, count) context
-// (callback table target, pinned pack plan, packed totals). Repeated sends
-// of the same datatype shape — the common case in halo exchanges and
-// bench loops — reuse the cached context instead of rebuilding it. Keyed
-// by dt::layout_fingerprint() + count and verified against the full
-// segment list on hit, so signature-equivalent-but-differently-laid-out
-// types can never alias. Active only when MPICD_PACK_PLAN is enabled.
-
-// Number of cached descriptor contexts (for tests/benches).
-[[nodiscard]] std::size_t desc_cache_size();
-
-// Drop every cached context (for tests; in-flight descriptors keep theirs
-// alive through the keepalive anchor).
-void desc_cache_clear();
 
 } // namespace mpicd::p2p

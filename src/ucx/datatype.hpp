@@ -49,10 +49,10 @@ struct ContigDesc {
 
 struct IovDesc {
     std::vector<IovEntry> entries; // base pointers + byte lengths
-    // Optional owned storage some entries may point into (e.g. the packed
-    // first element of a custom-datatype message). Shared so a deferred
-    // unpack step can outlive the transport request.
-    std::shared_ptr<ByteVec> backing;
+    // Optional ownership anchor for storage some entries point into (e.g.
+    // the packed first element of a custom-datatype message). Shared so a
+    // deferred unpack step can outlive the transport request.
+    std::shared_ptr<void> backing;
 };
 
 struct GenericDesc {

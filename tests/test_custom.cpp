@@ -185,9 +185,9 @@ TEST(CustomEngine, LowerSendBuildsPackedFirstIov) {
     EXPECT_EQ(iov.entries[1].base, blobs[0].data.data());
     EXPECT_EQ(iov.entries[1].len, 10);
     EXPECT_EQ(iov.entries[2].len, 20);
-    ASSERT_NE(iov.backing, nullptr);
+    ASSERT_NE(iov.backing, nullptr); // anchors the packed header
     std::uint64_t magic = 0;
-    std::memcpy(&magic, iov.backing->data(), 8);
+    std::memcpy(&magic, iov.entries[0].base, 8);
     EXPECT_EQ(magic, 0xAAAAu);
 }
 
@@ -342,6 +342,50 @@ TEST(CustomEngine, StateFreedOncePerOperation) {
     EXPECT_EQ(rq_r.wait().status, Status::success);
     EXPECT_EQ(ctx.total, 2); // one state per side
     EXPECT_EQ(ctx.alive, 0); // all freed
+}
+
+// Incomplete messages: a custom receive unpacks only when exactly the
+// expected bytes arrived. A short or oversized raw send must fail the
+// receive, leave the destination untouched and free the state once.
+Status query20(void*, const void*, Count count, Count* s) {
+    *s = 20 * count;
+    return Status::success;
+}
+Status copy_unpack(void*, void* buf, Count, Count offset, const void* src,
+                   Count src_size) {
+    std::memcpy(static_cast<std::byte*>(buf) + offset, src,
+                static_cast<std::size_t>(src_size));
+    return Status::success;
+}
+
+TEST(CustomEngine, IncompleteMessageIsNotUnpacked) {
+    struct Case {
+        Count sent;
+        Status want;
+    };
+    for (const Case c : {Case{8, Status::err_type}, Case{160, Status::err_truncate}}) {
+        p2p::Universe uni(2, test::test_params());
+        CountingCtx ctx;
+        CustomCallbacks cb;
+        cb.state = counting_state;
+        cb.state_free = counting_free;
+        cb.query = query20;
+        cb.pack = no_pack;
+        cb.unpack = copy_unpack;
+        cb.context = &ctx;
+        CustomDatatype type;
+        ASSERT_EQ(CustomDatatype::create(cb, &type), Status::success);
+        ByteVec dst(80, std::byte{0x5A});
+        auto rq_r = uni.comm(1).irecv_custom(dst.data(), 4, type, 0, 3);
+        const ByteVec raw = test::pattern_bytes(static_cast<std::size_t>(c.sent), 4);
+        ASSERT_EQ(uni.comm(0).send_bytes(raw.data(), c.sent, 1, 3).status,
+                  Status::success);
+        const auto st = rq_r.wait();
+        EXPECT_EQ(st.status, c.want) << "sent " << c.sent;
+        EXPECT_EQ(dst, ByteVec(80, std::byte{0x5A})) << "sent " << c.sent;
+        EXPECT_EQ(ctx.total, 1);
+        EXPECT_EQ(ctx.alive, 0);
+    }
 }
 
 } // namespace

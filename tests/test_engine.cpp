@@ -227,8 +227,9 @@ TEST(CustomRecvOpTest, FinishIsIdempotent) {
     ASSERT_EQ(lower_custom_recv(type, &obj, 1, uni.worker(0), &op), Status::success);
     EXPECT_EQ(op.expected_packed(), 64);
     EXPECT_EQ(op.expected_total(), 64);
-    EXPECT_EQ(op.finish(uni.worker(0)), Status::success);
-    EXPECT_EQ(op.finish(uni.worker(0)), Status::success); // no double unpack
+    EXPECT_EQ(op.finish(uni.worker(0), Status::success, 64), Status::success);
+    EXPECT_EQ(op.finish(uni.worker(0), Status::success, 64),
+              Status::success); // no double unpack
 }
 
 TEST(CustomRecvOpTest, MoveTransfersPendingState) {
@@ -240,7 +241,7 @@ TEST(CustomRecvOpTest, MoveTransfersPendingState) {
     ASSERT_EQ(lower_custom_recv(type, &obj, 1, uni.worker(0), &a), Status::success);
     CustomRecvOp b(std::move(a));
     EXPECT_EQ(b.expected_packed(), 32);
-    EXPECT_EQ(b.finish(uni.worker(0)), Status::success);
+    EXPECT_EQ(b.finish(uni.worker(0), Status::success, 32), Status::success);
 }
 
 } // namespace

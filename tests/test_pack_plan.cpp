@@ -1,7 +1,7 @@
 // Pack-plan compiler, parallel pack engine, iovec coalescing, and the
-// descriptor cache: the compiled fast paths must be byte-identical to the
-// generic per-segment convertor on every datatype shape, cursor position,
-// and fragment boundary.
+// derived-datatype descriptors: the compiled fast paths must be
+// byte-identical to the generic per-segment convertor on every datatype
+// shape, cursor position, and fragment boundary.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -14,7 +14,6 @@
 #include "dt/pack_plan.hpp"
 #include "dt/par_pack.hpp"
 #include "dt/signature.hpp"
-#include "p2p/dt_bridge.hpp"
 #include "p2p/universe.hpp"
 #include "test_util.hpp"
 
@@ -263,18 +262,14 @@ TEST(PackPlan, StructSimpleCompilesToTwoInstructions) {
     EXPECT_FALSE(plan->collapsible);
 }
 
-TEST(PackPlan, LayoutFingerprintSeparatesLayoutsNotSignatures) {
-    // Same leaf signature (8 doubles), different layouts.
+TEST(PackPlan, SignatureEquivalenceIgnoresLayout) {
+    // Same leaf signature (8 doubles), different layouts: equivalent for
+    // matching, yet they pack differently, so each type keeps its own plan.
     auto contig = dt::Datatype::contiguous(8, dt::type_double());
     auto strided = dt::Datatype::vector(8, 1, 2, dt::type_double());
     ASSERT_EQ(contig->commit(), Status::success);
     ASSERT_EQ(strided->commit(), Status::success);
     EXPECT_TRUE(dt::signature_equivalent(contig, 1, strided, 1));
-    EXPECT_NE(dt::layout_fingerprint(contig), dt::layout_fingerprint(strided));
-    // Same layout, independently built types: equal fingerprints.
-    auto strided2 = dt::Datatype::vector(8, 1, 2, dt::type_double());
-    ASSERT_EQ(strided2->commit(), Status::success);
-    EXPECT_EQ(dt::layout_fingerprint(strided), dt::layout_fingerprint(strided2));
 }
 
 // --- Iovec coalescing ----------------------------------------------------
@@ -346,31 +341,11 @@ TEST(CoalesceIov, MilcFineRegionTransferDeliversIdenticalBytes) {
     }
 }
 
-// --- Descriptor cache ----------------------------------------------------
+// --- Derived-datatype descriptors -----------------------------------------
 
-TEST(DescCache, ReusesContextForSameLayoutAndCount) {
-    if (!dt::pack_plan_enabled()) GTEST_SKIP();
-    p2p::desc_cache_clear();
-    auto a = dt::Datatype::vector(8, 2, 4, dt::type_double());
-    auto b = dt::Datatype::vector(8, 2, 4, dt::type_double()); // same layout
-    ASSERT_EQ(a->commit(), Status::success);
-    ASSERT_EQ(b->commit(), Status::success);
-    double buf[64] = {};
-    const auto before = pack_stats().snapshot();
-    auto d1 = p2p::dt_send_desc(a, buf, 2);
-    auto d2 = p2p::dt_send_desc(b, buf, 2); // hit: same layout + count
-    auto d3 = p2p::dt_send_desc(a, buf, 3); // miss: different count
-    const auto after = pack_stats().snapshot();
-    EXPECT_EQ(p2p::desc_cache_size(), 2u);
-    EXPECT_EQ(after.plan_cache_hits - before.plan_cache_hits, 1u);
-    EXPECT_EQ(after.plan_cache_misses - before.plan_cache_misses, 2u);
-    p2p::desc_cache_clear();
-    EXPECT_EQ(p2p::desc_cache_size(), 0u);
-}
-
-TEST(DescCache, CachedDescriptorTransfersCorrectly) {
-    // Two transfers with independently built same-layout types: the second
-    // rides the cached context and must still deliver correct bytes.
+TEST(DtBridge, SameLayoutTypesTransferCorrectly) {
+    // Two transfers with independently built same-layout types: each
+    // descriptor packs through its own type and delivers correct bytes.
     for (int round = 0; round < 2; ++round) {
         auto t = dt::Datatype::vector(64, 3, 5, dt::type_double());
         ASSERT_EQ(t->commit(), Status::success);
@@ -389,6 +364,32 @@ TEST(DescCache, CachedDescriptorTransfersCorrectly) {
                 const auto idx = static_cast<std::size_t>(i * 5 + j);
                 EXPECT_EQ(dst[idx], src[idx]) << idx;
             }
+        }
+    }
+}
+
+TEST(DtBridge, DescriptorKeepsTypeAlive) {
+    // The caller drops its TypeRef right after posting: the descriptors'
+    // keepalive anchors must hold the type until both operations finish.
+    // One eager-sized and one rendezvous-sized message.
+    for (const Count blocks : {Count{64}, Count{8192}}) {
+        const Count n = blocks * 5;
+        std::vector<double> src(static_cast<std::size_t>(n)),
+            dst(static_cast<std::size_t>(n), -1.0);
+        for (std::size_t i = 0; i < src.size(); ++i) src[i] = static_cast<double>(i);
+        p2p::Universe uni(2, test::test_params());
+        auto t = dt::Datatype::vector(blocks, 3, 5, dt::type_double());
+        ASSERT_EQ(t->commit(), Status::success);
+        const std::weak_ptr<dt::Datatype> watch = t;
+        auto rr = uni.comm(1).irecv(dst.data(), 1, t, 0, 7);
+        auto rs = uni.comm(0).isend(src.data(), 1, t, 1, 7);
+        t.reset();
+        EXPECT_FALSE(watch.expired());
+        EXPECT_EQ(rr.wait().status, Status::success);
+        EXPECT_EQ(rs.wait().status, Status::success);
+        for (Count i = 0; i < n; ++i) {
+            const auto idx = static_cast<std::size_t>(i);
+            ASSERT_EQ(dst[idx], i % 5 < 3 ? src[idx] : -1.0) << blocks << "/" << idx;
         }
     }
 }

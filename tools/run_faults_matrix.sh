@@ -20,7 +20,9 @@
 # separate build tree (-DMPICD_SANITIZE=address) and replays the lossy
 # configuration through them: the pooled hot path recycles and shares
 # buffers across threads, and ASan turns any use-after-release or
-# double-release of a slab into a hard failure. MPICD_SKIP_ASAN=1 skips it.
+# double-release of a slab into a hard failure. The leg also covers the
+# custom-type staging buffers and derived-type descriptors, whose lifetimes
+# rest on shared_ptr anchors alone. MPICD_SKIP_ASAN=1 skips it.
 #
 # A ThreadSanitizer leg (-DMPICD_SANITIZE=thread) then replays the
 # matcher-heavy tests — test_matcher's randomized differential sweeps, the
@@ -97,11 +99,12 @@ asan_leg() {
           -DMPICD_BUILD_BENCH=OFF \
           -DMPICD_BUILD_EXAMPLES=OFF >/dev/null &&
     cmake --build "$dir" -j "$JOBS" --target \
-          test_base test_ucx test_faults test_reliability_soak &&
+          test_base test_ucx test_faults test_reliability_soak \
+          test_custom test_pack_plan test_engine &&
     export_lossy 42 &&
     ctest --test-dir "$dir" -j "$JOBS" --output-on-failure \
           --repeat until-pass:2 \
-          -R 'test_base|test_ucx|test_faults|test_reliability_soak'
+          -R 'test_base|test_ucx|test_faults|test_reliability_soak|test_custom|test_pack_plan|test_engine'
 }
 
 tsan_leg() {
