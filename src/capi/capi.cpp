@@ -164,20 +164,16 @@ MPI_Datatype make_predef_handle(const mpicd::dt::TypeRef& t) {
     return h;
 }
 
-int start_op(MPI_Comm comm, MPI_Datatype type, bool send, void* rbuf, const void* sbuf,
+int start_op(MPI_Comm comm, MPI_Datatype type, bool send, const void* buf,
              MPI_Count count, int peer, int tag, mpicd::p2p::Request* out) {
     if (comm == nullptr || comm->comm == nullptr || type == nullptr)
         return MPI_ERR_ARG;
-    auto& c = *comm->comm;
-    if (type->custom) {
-        *out = send ? c.isend_custom(sbuf, count, type->ctype, peer, tag)
-                    : c.irecv_custom(rbuf, count, type->ctype, peer, tag);
-    } else {
-        if (type->dt == nullptr) return MPI_ERR_TYPE;
-        if (!type->dt->committed()) return MPI_ERR_TYPE;
-        *out = send ? c.isend(sbuf, count, type->dt, peer, tag)
-                    : c.irecv(rbuf, count, type->dt, peer, tag);
-    }
+    if (!type->custom && (type->dt == nullptr || !type->dt->committed()))
+        return MPI_ERR_TYPE;
+    using mpicd::p2p::Payload;
+    const Payload p = type->custom ? Payload::custom_of(buf, count, type->ctype)
+                                   : Payload::derived(buf, count, type->dt);
+    *out = send ? comm->comm->isend(p, peer, tag) : comm->comm->irecv(p, peer, tag);
     return MPI_SUCCESS;
 }
 
@@ -376,7 +372,7 @@ int MPI_Isend(const void* buf, MPI_Count count, MPI_Datatype type, int dest, int
               MPI_Comm comm, MPI_Request* request) {
     if (request == nullptr) return MPI_ERR_ARG;
     auto h = std::make_unique<mpicd_request_s>();
-    const int rc = start_op(comm, type, true, nullptr, buf, count, dest, tag, &h->rq);
+    const int rc = start_op(comm, type, true, buf, count, dest, tag, &h->rq);
     if (rc != MPI_SUCCESS) return rc;
     *request = h.release();
     return MPI_SUCCESS;
@@ -386,7 +382,7 @@ int MPI_Irecv(void* buf, MPI_Count count, MPI_Datatype type, int source, int tag
               MPI_Comm comm, MPI_Request* request) {
     if (request == nullptr) return MPI_ERR_ARG;
     auto h = std::make_unique<mpicd_request_s>();
-    const int rc = start_op(comm, type, false, buf, nullptr, count, source, tag, &h->rq);
+    const int rc = start_op(comm, type, false, buf, count, source, tag, &h->rq);
     if (rc != MPI_SUCCESS) return rc;
     *request = h.release();
     return MPI_SUCCESS;

@@ -10,11 +10,6 @@ Status validate_root(const Communicator& comm, int root) {
     return Status::success;
 }
 
-CollRequest launch_bcast(Communicator& comm, int root, const Payload& data) {
-    const TopologyMap t = TopologyMap::create(comm);
-    return launch(comm, build_bcast(t, select_algo(t), root, data));
-}
-
 template <typename T>
 CollRequest launch_allreduce(Communicator& comm, T* data, Count count, ReduceOp op) {
     if (!ok(comm.status())) return error_request(comm.status());
@@ -31,30 +26,13 @@ CollRequest ibarrier(Communicator& comm) {
     return launch(comm, build_barrier(TopologyMap::create(comm)));
 }
 
-CollRequest ibcast_bytes(Communicator& comm, void* buf, Count n, int root) {
+CollRequest ibcast(Communicator& comm, const Payload& data, int root) {
     if (const Status st = validate_root(comm, root); !ok(st))
         return error_request(st);
-    if (n < 0 || (n > 0 && buf == nullptr)) return error_request(Status::err_arg);
-    // Zero bytes: immediately complete on every rank (n is uniform).
-    if (n == 0) return error_request(Status::success);
-    return launch_bcast(comm, root, Payload::bytes(buf, n));
-}
-
-CollRequest ibcast(Communicator& comm, void* buf, Count count,
-                   const dt::TypeRef& type, int root) {
-    if (const Status st = validate_root(comm, root); !ok(st))
-        return error_request(st);
-    if (type == nullptr || count < 0) return error_request(Status::err_arg);
-    if (!type->committed()) return error_request(Status::err_not_committed);
-    return launch_bcast(comm, root, Payload{buf, count, type, nullptr});
-}
-
-CollRequest ibcast_custom(Communicator& comm, void* buf, Count count,
-                          const core::CustomDatatype& type, int root) {
-    if (const Status st = validate_root(comm, root); !ok(st))
-        return error_request(st);
-    if (count < 0) return error_request(Status::err_arg);
-    return launch_bcast(comm, root, Payload{buf, count, nullptr, &type});
+    if (const Status st = data.check(/*recv=*/false); !ok(st)) return error_request(st);
+    if (data.empty()) return error_request(Status::success);
+    const TopologyMap t = TopologyMap::create(comm);
+    return launch(comm, build_bcast(t, select_algo(t), root, data));
 }
 
 CollRequest igather_bytes(Communicator& comm, const void* send, Count n,

@@ -33,20 +33,29 @@ namespace mpicd::p2p::coll {
 // Synchronize all ranks.
 [[nodiscard]] CollRequest ibarrier(Communicator& comm);
 
-// Broadcast `n` raw bytes from `root`.
-[[nodiscard]] CollRequest ibcast_bytes(Communicator& comm, void* buf, Count n,
-                                       int root);
+// Broadcast a bytes, derived or custom payload (p2p/payload.hpp) from
+// `root`, validated by Payload::check(). A custom payload is one every
+// rank pre-shapes; non-roots receive into it, and each receiver's own
+// query callback determines the expected packed size (the §VI size
+// contract). An empty bytes or derived payload completes at once on every
+// rank (the count is uniform).
+[[nodiscard]] CollRequest ibcast(Communicator& comm, const Payload& data, int root);
 
-// Broadcast `count` elements of a committed derived datatype from `root`.
-[[nodiscard]] CollRequest ibcast(Communicator& comm, void* buf, Count count,
-                                 const dt::TypeRef& type, int root);
-
-// Broadcast a custom-datatype buffer from `root`. Every rank passes its
-// own pre-shaped object; non-roots receive into it, and each receiver's
-// own query callback determines the expected packed size (the §VI size
-// contract).
-[[nodiscard]] CollRequest ibcast_custom(Communicator& comm, void* buf, Count count,
-                                        const core::CustomDatatype& type, int root);
+// Per-kind forwards.
+[[nodiscard]] inline CollRequest ibcast_bytes(Communicator& comm, void* buf, Count n,
+                                              int root) {
+    return ibcast(comm, Payload::bytes(buf, n), root);
+}
+[[nodiscard]] inline CollRequest ibcast(Communicator& comm, void* buf, Count count,
+                                        const dt::TypeRef& type, int root) {
+    return ibcast(comm, Payload::derived(buf, count, type), root);
+}
+[[nodiscard]] inline CollRequest ibcast_custom(Communicator& comm, void* buf,
+                                               Count count,
+                                               const core::CustomDatatype& type,
+                                               int root) {
+    return ibcast(comm, Payload::custom_of(buf, count, type), root);
+}
 
 // Gather `n` bytes from every rank into `recv` (rank i's block at byte
 // offset i*n) at the root; `recv` may be null on non-roots (and at the

@@ -18,10 +18,7 @@
 
 #include "dt/datatype.hpp"
 #include "p2p/coll/topology.hpp"
-
-namespace mpicd::core {
-class CustomDatatype;
-}
+#include "p2p/payload.hpp"
 
 namespace mpicd::p2p {
 
@@ -42,39 +39,12 @@ namespace mpicd::p2p::coll {
 // schedule, allreduce, tops out at subtag 49).
 inline constexpr std::uint32_t kCollTagStride = 64;
 
-// What one step moves: `count` units at `buf`. Units are raw bytes unless
-// `type` (elements of a committed derived datatype) or `custom` (elements
-// of a custom datatype) is set.
-struct Payload {
-    void* buf = nullptr;
-    Count count = 0;
-    dt::TypeRef type;
-    const core::CustomDatatype* custom = nullptr;
-
-    [[nodiscard]] static Payload bytes(const void* p, Count n) {
-        return {const_cast<void*>(p), n, nullptr, nullptr};
-    }
-    [[nodiscard]] bool is_bytes() const noexcept {
-        return type == nullptr && custom == nullptr;
-    }
-    // Custom payloads always move (their size is the sender's query
-    // callback's answer); the others move only when non-empty.
-    [[nodiscard]] bool empty() const noexcept {
-        return custom == nullptr && count == 0;
-    }
-    // Packed bytes on the wire; -1 for custom payloads.
-    [[nodiscard]] Count wire_bytes() const noexcept {
-        if (custom != nullptr) return -1;
-        return type != nullptr ? count * type->size() : count;
-    }
-};
-
 // One point-to-point operation of a round.
 struct Step {
     bool send = false;
     int peer = -1;
     std::uint32_t sub = 0; // subtag within the op's tag block
-    Payload data;
+    Payload data;          // bytes, derived or custom (p2p/payload.hpp)
 };
 
 // Local work a round runs on entry: copy `n` bytes from src to dst, or —

@@ -126,9 +126,9 @@ CollRequest igatherv(Communicator& comm, const void* send, Count sendcount,
                      std::span<const Count> recvcounts, std::span<const Count> displs,
                      const dt::TypeRef& recvtype, int root) {
     if (!ok(comm.status())) return error_request(comm.status());
-    if (root < 0 || root >= comm.size() || sendcount < 0)
-        return error_request(Status::err_arg);
-    if (const Status st = type_status(sendtype); !ok(st)) return error_request(st);
+    if (root < 0 || root >= comm.size()) return error_request(Status::err_arg);
+    const Payload mine = Payload::derived(send, sendcount, sendtype);
+    if (const Status st = mine.check(/*recv=*/false); !ok(st)) return error_request(st);
     std::vector<Payload> in;
     if (comm.rank() == root) {
         if (const Status st = type_status(recvtype); !ok(st)) return error_request(st);
@@ -136,10 +136,7 @@ CollRequest igatherv(Communicator& comm, const void* send, Count sendcount,
             return error_request(Status::err_arg);
         in = blocks(comm, recv, recvcounts, displs, recvtype);
     }
-    return launch(comm, build_gatherv(TopologyMap::create(comm), root,
-                                      Payload{const_cast<void*>(send), sendcount,
-                                              sendtype, nullptr},
-                                      in));
+    return launch(comm, build_gatherv(TopologyMap::create(comm), root, mine, in));
 }
 
 CollRequest iallgatherv(Communicator& comm, const void* send, Count sendcount,
@@ -147,14 +144,12 @@ CollRequest iallgatherv(Communicator& comm, const void* send, Count sendcount,
                         std::span<const Count> recvcounts,
                         std::span<const Count> displs, const dt::TypeRef& recvtype) {
     if (!ok(comm.status())) return error_request(comm.status());
-    if (sendcount < 0) return error_request(Status::err_arg);
-    for (const dt::TypeRef* type : {&sendtype, &recvtype})
-        if (const Status st = type_status(*type); !ok(st)) return error_request(st);
+    const Payload mine = Payload::derived(send, sendcount, sendtype);
+    if (const Status st = mine.check(/*recv=*/false); !ok(st)) return error_request(st);
+    if (const Status st = type_status(recvtype); !ok(st)) return error_request(st);
     if (!blocks_ok(comm, recvcounts, displs, recv)) return error_request(Status::err_arg);
-    return launch(comm, build_allgatherv(
-                            TopologyMap::create(comm), Algo::flat,
-                            Payload{const_cast<void*>(send), sendcount, sendtype, nullptr},
-                            blocks(comm, recv, recvcounts, displs, recvtype)));
+    return launch(comm, build_allgatherv(TopologyMap::create(comm), Algo::flat, mine,
+                                         blocks(comm, recv, recvcounts, displs, recvtype)));
 }
 
 CollRequest ialltoallv(Communicator& comm, const void* send,

@@ -3,12 +3,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <thread>
 
 #include "base/log.hpp"
 #include "base/trace.hpp"
 #include "core/traits.hpp"
-#include "p2p/coll/schedule.hpp"
 #include "p2p/dt_bridge.hpp"
 #include "p2p/universe.hpp"
 
@@ -23,8 +23,37 @@ constexpr ucx::Tag kUserMask = 0xFFFFFFFFull;
 constexpr ucx::Tag kSrcMask = 0xFFFFull << kSrcShift;
 constexpr ucx::Tag kCtxMask = 0xFFFFull << kCtxShift;
 
+ucx::Tag pack_tag(std::uint16_t ctx, int src, std::uint32_t user) noexcept {
+    return (static_cast<ucx::Tag>(ctx) << kCtxShift) |
+           (static_cast<ucx::Tag>(static_cast<std::uint16_t>(src)) << kSrcShift) |
+           static_cast<ucx::Tag>(user);
+}
+
 // Wall-clock deadlock guard for wait() loops in test code.
 constexpr auto kWaitDeadline = std::chrono::seconds(120);
+
+// The one blocking loop: retry `done` until it returns true, yielding every
+// 1024 tries. Aborts (naming `what`) when it has not returned true for
+// kWaitDeadline — a deadlock in test code. The deadline is armed at the
+// first yield, so a wait that completes within its first tries reads no
+// clock.
+template <typename Done>
+void spin_until(Done&& done, const char* what) {
+    std::optional<std::chrono::steady_clock::time_point> deadline;
+    int idle = 0;
+    while (!done()) {
+        if (++idle <= 1024) continue;
+        idle = 0;
+        std::this_thread::yield();
+        const auto now = std::chrono::steady_clock::now();
+        if (!deadline) {
+            deadline = now + kWaitDeadline;
+        } else if (now > *deadline) {
+            MPICD_LOG_ERROR(what << " deadlocked (no progress for 120 s)");
+            std::abort();
+        }
+    }
+}
 
 } // namespace
 
@@ -93,18 +122,7 @@ bool Request::cancel() {
 
 MsgStatus Request::wait() {
     MsgStatus st;
-    const auto deadline = std::chrono::steady_clock::now() + kWaitDeadline;
-    int idle = 0;
-    while (!test(&st)) {
-        if (++idle > 1024) {
-            std::this_thread::yield();
-            idle = 0;
-            if (std::chrono::steady_clock::now() > deadline) {
-                MPICD_LOG_ERROR("Request::wait deadlocked (no progress for 120 s)");
-                std::abort();
-            }
-        }
-    }
+    spin_until([&] { return test(&st); }, "Request::wait");
     return st;
 }
 
@@ -116,7 +134,7 @@ Communicator::Communicator(Universe& uni, ucx::Worker& worker, int rank, int siz
     : uni_(uni), worker_(worker), rank_(rank), size_(size), context_(context) {
     // The 16-bit source field addresses ranks 0..65535; a wider world (or a
     // negative/out-of-world rank) would alias through the mask in
-    // encode_send_tag. Mark the communicator invalid instead.
+    // pack_tag. Mark the communicator invalid instead.
     if (rank < 0 || size <= 0 || rank >= size || size > kMaxWorldSize)
         ctor_status_ = Status::err_arg;
     // The top context bit selects the collective plane; a user context
@@ -141,88 +159,42 @@ Status Communicator::check_recv(int src, int tag) const {
     return Status::success;
 }
 
-ucx::Tag Communicator::encode_send_tag(int tag) const {
-    return (static_cast<ucx::Tag>(context_) << kCtxShift) |
-           (static_cast<ucx::Tag>(static_cast<std::uint16_t>(rank_)) << kSrcShift) |
-           (static_cast<ucx::Tag>(static_cast<std::uint32_t>(tag)) & kUserMask);
-}
-
 void Communicator::encode_recv_tag(int src, int tag, ucx::Tag* t, ucx::Tag* mask) const {
-    ucx::Tag m = kCtxMask;
-    ucx::Tag v = static_cast<ucx::Tag>(context_) << kCtxShift;
-    if (src != kAnySource) {
-        m |= kSrcMask;
-        v |= static_cast<ucx::Tag>(static_cast<std::uint16_t>(src)) << kSrcShift;
-    }
-    if (tag != kAnyTag) {
-        m |= kUserMask;
-        v |= static_cast<ucx::Tag>(static_cast<std::uint32_t>(tag)) & kUserMask;
-    }
-    *t = v;
-    *mask = m;
-}
-
-ucx::Tag Communicator::encode_coll_send_tag(std::uint32_t ctag) const {
-    const auto ctx = static_cast<std::uint16_t>(context_ | kCollContextBit);
-    return (static_cast<ucx::Tag>(ctx) << kCtxShift) |
-           (static_cast<ucx::Tag>(static_cast<std::uint16_t>(rank_)) << kSrcShift) |
-           static_cast<ucx::Tag>(ctag);
-}
-
-void Communicator::encode_coll_recv_tag(int src, std::uint32_t ctag, ucx::Tag* t,
-                                        ucx::Tag* mask) const {
-    // Collective receives are always fully pinned: known source, known
-    // collective tag — wildcards have no business on this plane.
-    const auto ctx = static_cast<std::uint16_t>(context_ | kCollContextBit);
-    *t = (static_cast<ucx::Tag>(ctx) << kCtxShift) |
-         (static_cast<ucx::Tag>(static_cast<std::uint16_t>(src)) << kSrcShift) |
-         static_cast<ucx::Tag>(ctag);
-    *mask = kCtxMask | kSrcMask | kUserMask;
-}
-
-Status Communicator::check_coll_peer(int peer) const {
-    if (!ok(ctor_status_)) return ctor_status_;
-    if (peer < 0 || peer >= size_) return Status::err_arg;
-    return Status::success;
+    const bool any_src = src == kAnySource, any_tag = tag == kAnyTag;
+    *t = pack_tag(context_, any_src ? 0 : src,
+                  any_tag ? 0u : static_cast<std::uint32_t>(tag));
+    *mask = kCtxMask | (any_src ? 0 : kSrcMask) | (any_tag ? 0 : kUserMask);
 }
 
 std::uint32_t Communicator::coll_reserve_tags(std::uint32_t n) {
     return coll_epoch_.fetch_add(n, std::memory_order_relaxed);
 }
 
-Request Communicator::coll_isend(const coll::Payload& p, int dst,
-                                 std::uint32_t ctag) {
-    if (p.count < 0) return make_error_request(Status::err_arg);
-    if (const Status st = check_coll_peer(dst); !ok(st))
-        return make_error_request(st);
-    if (p.type != nullptr && !p.type->committed())
-        return make_error_request(Status::err_not_committed);
-    const ucx::Tag t = encode_coll_send_tag(ctag);
-    if (p.custom != nullptr)
-        return isend_custom_wiretag(p.buf, p.count, *p.custom, dst, t,
-                                    core::CustomLowering::iov);
-    if (p.type == nullptr || p.type->is_contiguous())
-        return make_request(
-            worker_.tag_send(dst, t, ucx::make_contig_send(p.buf, p.wire_bytes())));
-    return make_request(worker_.tag_send(dst, t, dt_send_desc(p.type, p.buf, p.count)));
+// Collective plane: context | kCollContextBit, the full 32-bit unsigned
+// collective tag in the user field, and fully pinned receives (known
+// source, known collective tag — wildcards have no business here), so a
+// peer in either direction is checked like a send destination.
+Request Communicator::coll_isend(const Payload& p, int dst, std::uint32_t ctag) {
+    if (const Status st = check_send(dst, 0); !ok(st)) return make_error_request(st);
+    return post_send(p, dst, pack_tag(context_ | kCollContextBit, rank_, ctag));
 }
 
-Request Communicator::coll_irecv(const coll::Payload& p, int src,
-                                 std::uint32_t ctag) {
-    if (p.count < 0) return make_error_request(Status::err_arg);
-    if (const Status st = check_coll_peer(src); !ok(st))
-        return make_error_request(st);
-    if (p.type != nullptr && !p.type->committed())
-        return make_error_request(Status::err_not_committed);
+Request Communicator::coll_irecv(const Payload& p, int src, std::uint32_t ctag) {
+    if (const Status st = check_send(src, 0); !ok(st)) return make_error_request(st);
+    return post_recv(p, pack_tag(context_ | kCollContextBit, src, ctag),
+                     kCtxMask | kSrcMask | kUserMask);
+}
+
+Request Communicator::isend(const Payload& p, int dst, int tag) {
+    if (const Status st = check_send(dst, tag); !ok(st)) return make_error_request(st);
+    return post_send(p, dst, pack_tag(context_, rank_, static_cast<std::uint32_t>(tag)));
+}
+
+Request Communicator::irecv(const Payload& p, int src, int tag) {
+    if (const Status st = check_recv(src, tag); !ok(st)) return make_error_request(st);
     ucx::Tag t = 0, mask = 0;
-    encode_coll_recv_tag(src, ctag, &t, &mask);
-    if (p.custom != nullptr)
-        return irecv_custom_wiretag(p.buf, p.count, *p.custom, t, mask,
-                                    core::CustomLowering::iov);
-    if (p.type == nullptr || p.type->is_contiguous())
-        return make_request(
-            worker_.tag_recv(t, mask, ucx::make_contig_recv(p.buf, p.wire_bytes())));
-    return make_request(worker_.tag_recv(t, mask, dt_recv_desc(p.type, p.buf, p.count)));
+    encode_recv_tag(src, tag, &t, &mask);
+    return post_recv(p, t, mask);
 }
 
 Request Communicator::make_request(ucx::RequestId id) {
@@ -241,203 +213,104 @@ Request Communicator::make_error_request(Status st) {
     return rq;
 }
 
-Request Communicator::isend_bytes(const void* p, Count n, int dst, int tag) {
-    if (n < 0) return make_error_request(Status::err_arg);
-    if (const Status st = check_send(dst, tag); !ok(st))
-        return make_error_request(st);
-    return make_request(
-        worker_.tag_send(dst, encode_send_tag(tag), ucx::make_contig_send(p, n)));
-}
-
-Request Communicator::irecv_bytes(void* p, Count n, int src, int tag) {
-    if (n < 0) return make_error_request(Status::err_arg);
-    if (const Status st = check_recv(src, tag); !ok(st))
-        return make_error_request(st);
-    ucx::Tag t = 0, mask = 0;
-    encode_recv_tag(src, tag, &t, &mask);
-    return make_request(worker_.tag_recv(t, mask, ucx::make_contig_recv(p, n)));
-}
-
 // ---------------------------------------------------------------------------
-// Zero-serialization fast path (see docs/API.md §7).
+// The one lowering (docs/API.md §3).
 
 namespace {
 
 constexpr Count kSizedHeaderBytes =
     static_cast<Count>(sizeof(std::uint64_t));
 
-void note_fastpath(core::WireClass cls, Count payload_bytes, bool send) {
+// Account a wire or sized operation to the fastpath/* counters; the other
+// kinds are not fast-path operations.
+void note_fastpath(const Payload& p, bool send) {
+    const bool trivial = p.kind() == Payload::Kind::wire;
+    if (!trivial && p.kind() != Payload::Kind::sized) return;
     auto& fp = core::fastpath_counters();
-    if (cls == core::WireClass::trivially_wireable)
-        fp.hits_trivial.fetch_add(1, std::memory_order_relaxed);
-    else
-        fp.hits_resizable.fetch_add(1, std::memory_order_relaxed);
-    fp.bytes_bypassed.fetch_add(static_cast<std::uint64_t>(payload_bytes),
+    (trivial ? fp.hits_trivial : fp.hits_resizable)
+        .fetch_add(1, std::memory_order_relaxed);
+    fp.bytes_bypassed.fetch_add(static_cast<std::uint64_t>(p.count),
                                 std::memory_order_relaxed);
     // One lowering (state/query/pack plan work) skipped per operation.
     fp.plan_compiles_avoided.fetch_add(1, std::memory_order_relaxed);
+    const core::WireClass cls = trivial ? core::WireClass::trivially_wireable
+                                        : core::WireClass::contiguous_resizable;
     trace::instant("p2p", send ? "fastpath_send" : "fastpath_recv", -1.0, "class",
                    static_cast<std::uint64_t>(cls), "bytes",
-                   static_cast<std::uint64_t>(payload_bytes));
+                   static_cast<std::uint64_t>(p.count));
 }
 
-} // namespace
-
-Request Communicator::isend_wire(const void* p, Count n, int dst, int tag) {
-    if (n < 0 || (n > 0 && p == nullptr)) return make_error_request(Status::err_arg);
-    if (const Status st = check_send(dst, tag); !ok(st))
-        return make_error_request(st);
-    note_fastpath(core::WireClass::trivially_wireable, n, /*send=*/true);
-    return make_request(
-        worker_.tag_send(dst, encode_send_tag(tag), ucx::make_contig_send(p, n)));
-}
-
-Request Communicator::irecv_wire(void* p, Count n, int src, int tag) {
-    if (n < 0 || (n > 0 && p == nullptr)) return make_error_request(Status::err_arg);
-    if (const Status st = check_recv(src, tag); !ok(st))
-        return make_error_request(st);
-    note_fastpath(core::WireClass::trivially_wireable, n, /*send=*/false);
-    ucx::Tag t = 0, mask = 0;
-    encode_recv_tag(src, tag, &t, &mask);
-    return make_request(worker_.tag_recv(t, mask, ucx::make_contig_recv(p, n)));
-}
-
-Request Communicator::isend_sized(const void* payload, Count n, int dst, int tag) {
-    if (n < 0 || (n > 0 && payload == nullptr))
-        return make_error_request(Status::err_arg);
-    if (const Status st = check_send(dst, tag); !ok(st))
-        return make_error_request(st);
-    note_fastpath(core::WireClass::contiguous_resizable, n, /*send=*/true);
-    auto hdr = std::make_shared<ByteVec>(static_cast<std::size_t>(kSizedHeaderBytes));
-    const std::uint64_t len = static_cast<std::uint64_t>(n);
-    std::memcpy(hdr->data(), &len, sizeof len);
-    ucx::IovDesc iov;
-    iov.entries.push_back({hdr->data(), kSizedHeaderBytes});
-    iov.backing = std::move(hdr);
-    // The payload entry borrows the user buffer — zero send-side copies.
-    if (n > 0) iov.entries.push_back({const_cast<void*>(payload), n});
-    return make_request(
-        worker_.tag_send(dst, encode_send_tag(tag), std::move(iov)));
-}
-
-Request Communicator::irecv_sized(std::shared_ptr<ByteVec> hdr, void* payload,
-                                  Count n, int src, int tag) {
-    if (hdr == nullptr || n < 0 || (n > 0 && payload == nullptr))
-        return make_error_request(Status::err_arg);
-    if (const Status st = check_recv(src, tag); !ok(st))
-        return make_error_request(st);
-    note_fastpath(core::WireClass::contiguous_resizable, n, /*send=*/false);
-    hdr->resize(static_cast<std::size_t>(kSizedHeaderBytes));
+// The two-entry IOV of a sized payload: the 8-byte length header, then the
+// payload itself, borrowed from the user buffer (zero send-side copies).
+ucx::IovDesc sized_iov(std::shared_ptr<ByteVec> hdr, void* payload, Count n) {
     ucx::IovDesc iov;
     iov.entries.push_back({hdr->data(), kSizedHeaderBytes});
     iov.backing = std::move(hdr);
     if (n > 0) iov.entries.push_back({payload, n});
-    ucx::Tag t = 0, mask = 0;
-    encode_recv_tag(src, tag, &t, &mask);
-    return make_request(worker_.tag_recv(t, mask, std::move(iov)));
+    return iov;
 }
 
-Request Communicator::isend(const void* buf, Count count, const dt::TypeRef& type,
-                            int dst, int tag) {
-    if (type == nullptr || count < 0) return make_error_request(Status::err_arg);
-    if (const Status st = check_send(dst, tag); !ok(st))
-        return make_error_request(st);
-    if (!type->committed()) return make_error_request(Status::err_not_committed);
-    if (type->is_contiguous()) {
-        return make_request(worker_.tag_send(
-            dst, encode_send_tag(tag),
-            ucx::make_contig_send(buf, type->size() * count)));
+// Transport descriptors of a checked bytes, wire, derived or sized payload
+// (custom payloads are lowered by the engine).
+ucx::BufferDesc send_desc(const Payload& p) {
+    if (p.kind() == Payload::Kind::sized) {
+        auto hdr = std::make_shared<ByteVec>(static_cast<std::size_t>(kSizedHeaderBytes));
+        const auto len = static_cast<std::uint64_t>(p.count);
+        std::memcpy(hdr->data(), &len, sizeof len);
+        return sized_iov(std::move(hdr), p.buf, p.count);
     }
-    return make_request(
-        worker_.tag_send(dst, encode_send_tag(tag), dt_send_desc(type, buf, count)));
+    if (p.type != nullptr && !p.type->is_contiguous())
+        return dt_send_desc(p.type, p.buf, p.count);
+    return ucx::make_contig_send(p.buf, p.wire_bytes());
 }
 
-Request Communicator::irecv(void* buf, Count count, const dt::TypeRef& type, int src,
-                            int tag) {
-    if (type == nullptr || count < 0) return make_error_request(Status::err_arg);
-    if (const Status st = check_recv(src, tag); !ok(st))
-        return make_error_request(st);
-    if (!type->committed()) return make_error_request(Status::err_not_committed);
-    ucx::Tag t = 0, mask = 0;
-    encode_recv_tag(src, tag, &t, &mask);
-    if (type->is_contiguous()) {
-        return make_request(
-            worker_.tag_recv(t, mask, ucx::make_contig_recv(buf, type->size() * count)));
+ucx::BufferDesc recv_desc(const Payload& p) {
+    if (p.kind() == Payload::Kind::sized) {
+        p.header->resize(static_cast<std::size_t>(kSizedHeaderBytes));
+        return sized_iov(p.header, p.buf, p.count);
     }
-    return make_request(worker_.tag_recv(t, mask, dt_recv_desc(type, buf, count)));
+    if (p.type != nullptr && !p.type->is_contiguous())
+        return dt_recv_desc(p.type, p.buf, p.count);
+    return ucx::make_contig_recv(p.buf, p.wire_bytes());
 }
 
-Request Communicator::isend_custom_wiretag(const void* buf, Count count,
-                                           const core::CustomDatatype& type,
-                                           int dst, ucx::Tag wire_tag,
-                                           core::CustomLowering lowering) {
-    // Fix the message id before lowering so the engine's pack/lowering
-    // spans and the transport's wire events all carry one id (tag_send
-    // adopts an open scope instead of allocating its own). A caller's open
-    // scope (a collective step) names the message; otherwise allocate one.
+} // namespace
+
+Request Communicator::post_send(const Payload& p, int dst, ucx::Tag wire_tag) {
+    if (const Status st = p.check(/*recv=*/false); !ok(st)) return make_error_request(st);
+    if (p.custom == nullptr) {
+        note_fastpath(p, /*send=*/true);
+        return make_request(worker_.tag_send(dst, wire_tag, send_desc(p)));
+    }
+    // A custom send fixes its message id before lowering, so the engine's
+    // pack/lowering spans and the transport's wire events all carry one id
+    // (tag_send adopts an open scope instead of allocating its own). A
+    // caller's open scope (a collective step) names the message; otherwise
+    // allocate one.
     const std::uint64_t open_msg = trace::current_msg();
     const trace::MsgScope msg_scope(open_msg != 0 ? open_msg : trace::next_msg_id());
     ucx::BufferDesc desc;
-    const Status st = core::lower_custom_send(type, buf, count, worker_, &desc, lowering);
+    const Status st =
+        core::lower_custom_send(*p.custom, p.buf, p.count, worker_, &desc, p.lowering);
     if (!ok(st)) return make_error_request(st);
     return make_request(worker_.tag_send(dst, wire_tag, std::move(desc)));
 }
 
-Request Communicator::irecv_custom_wiretag(void* buf, Count count,
-                                           const core::CustomDatatype& type,
-                                           ucx::Tag t, ucx::Tag mask,
-                                           core::CustomLowering lowering) {
+Request Communicator::post_recv(const Payload& p, ucx::Tag t, ucx::Tag mask) {
+    if (const Status st = p.check(/*recv=*/true); !ok(st)) return make_error_request(st);
+    if (p.custom == nullptr) {
+        note_fastpath(p, /*send=*/false);
+        return make_request(worker_.tag_recv(t, mask, recv_desc(p)));
+    }
+    // A custom receive's op owns the staging its descriptor points into and
+    // runs the deferred unpack when the request completes.
     auto op = std::make_shared<core::CustomRecvOp>();
     const Status st =
-        core::lower_custom_recv(type, buf, count, worker_, op.get(), lowering);
+        core::lower_custom_recv(*p.custom, p.buf, p.count, worker_, op.get(), p.lowering);
     if (!ok(st)) return make_error_request(st);
     Request rq = make_request(worker_.tag_recv(t, mask, std::move(op->desc())));
     rq.custom_ = std::move(op);
     return rq;
-}
-
-Request Communicator::isend_custom(const void* buf, Count count,
-                                   const core::CustomDatatype& type, int dst, int tag,
-                                   core::CustomLowering lowering) {
-    if (const Status st = check_send(dst, tag); !ok(st))
-        return make_error_request(st);
-    return isend_custom_wiretag(buf, count, type, dst, encode_send_tag(tag),
-                                lowering);
-}
-
-Request Communicator::irecv_custom(void* buf, Count count,
-                                   const core::CustomDatatype& type, int src, int tag,
-                                   core::CustomLowering lowering) {
-    if (const Status st = check_recv(src, tag); !ok(st))
-        return make_error_request(st);
-    ucx::Tag t = 0, mask = 0;
-    encode_recv_tag(src, tag, &t, &mask);
-    return irecv_custom_wiretag(buf, count, type, t, mask, lowering);
-}
-
-MsgStatus Communicator::send_bytes(const void* p, Count n, int dst, int tag) {
-    return isend_bytes(p, n, dst, tag).wait();
-}
-MsgStatus Communicator::recv_bytes(void* p, Count n, int src, int tag) {
-    return irecv_bytes(p, n, src, tag).wait();
-}
-MsgStatus Communicator::send(const void* buf, Count count, const dt::TypeRef& type,
-                             int dst, int tag) {
-    return isend(buf, count, type, dst, tag).wait();
-}
-MsgStatus Communicator::recv(void* buf, Count count, const dt::TypeRef& type, int src,
-                             int tag) {
-    return irecv(buf, count, type, src, tag).wait();
-}
-MsgStatus Communicator::send_custom(const void* buf, Count count,
-                                    const core::CustomDatatype& type, int dst,
-                                    int tag) {
-    return isend_custom(buf, count, type, dst, tag).wait();
-}
-MsgStatus Communicator::recv_custom(void* buf, Count count,
-                                    const core::CustomDatatype& type, int src,
-                                    int tag) {
-    return irecv_custom(buf, count, type, src, tag).wait();
 }
 
 MsgStatus Communicator::sendrecv_bytes(const void* sendbuf, Count sendn, int dst,
@@ -477,19 +350,9 @@ std::optional<ProbeResult> Communicator::iprobe(int src, int tag) {
 }
 
 ProbeResult Communicator::probe(int src, int tag) {
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(120);
-    int idle = 0;
-    while (true) {
-        if (auto r = iprobe(src, tag)) return *r;
-        if (++idle > 1024) {
-            std::this_thread::yield();
-            idle = 0;
-            if (std::chrono::steady_clock::now() > deadline) {
-                MPICD_LOG_ERROR("probe deadlocked (no matching message for 120 s)");
-                std::abort();
-            }
-        }
-    }
+    std::optional<ProbeResult> r;
+    spin_until([&] { return (r = iprobe(src, tag)).has_value(); }, "probe");
+    return *r;
 }
 
 std::optional<Message> Communicator::improbe(int src, int tag) {
@@ -507,23 +370,15 @@ std::optional<Message> Communicator::improbe(int src, int tag) {
 }
 
 Message Communicator::mprobe(int src, int tag) {
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(120);
-    int idle = 0;
-    while (true) {
-        if (auto m = improbe(src, tag)) return *m;
-        if (++idle > 1024) {
-            std::this_thread::yield();
-            idle = 0;
-            if (std::chrono::steady_clock::now() > deadline) {
-                MPICD_LOG_ERROR("mprobe deadlocked (no matching message for 120 s)");
-                std::abort();
-            }
-        }
-    }
+    std::optional<Message> m;
+    spin_until([&] { return (m = improbe(src, tag)).has_value(); }, "mprobe");
+    return *m;
 }
 
 Request Communicator::imrecv(Message& msg, void* p, Count n) {
-    if (!msg.valid() || n < 0) return make_error_request(Status::err_arg);
+    if (!msg.valid()) return make_error_request(Status::err_arg);
+    if (const Status st = Payload::bytes(p, n).check(/*recv=*/true); !ok(st))
+        return make_error_request(st);
     const ucx::RequestId id = worker_.imrecv(msg.handle, ucx::make_contig_recv(p, n));
     msg.handle = ucx::MessageHandle{};
     if (id == ucx::kInvalidRequest) return make_error_request(Status::err_arg);

@@ -1,7 +1,8 @@
 // Communicator: the MPI-like point-to-point interface of the mpicd
-// prototype — blocking and nonblocking send/recv over three datatype
-// families (raw bytes / derived datatypes / custom datatypes), probe,
-// matched probe (Mprobe), and virtual-time access.
+// prototype — blocking and nonblocking send/recv of one Payload
+// descriptor (raw bytes / derived datatypes / custom datatypes / the
+// zero-serialization fast path), probe, matched probe (Mprobe), and
+// virtual-time access.
 #pragma once
 
 #include <atomic>
@@ -15,14 +16,12 @@
 #include "core/custom_type.hpp"
 #include "core/engine.hpp"
 #include "dt/datatype.hpp"
+#include "p2p/payload.hpp"
 #include "ucx/worker.hpp"
 
 namespace mpicd::p2p {
 
 class Universe;
-namespace coll {
-struct Payload;
-}
 
 inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -1;
@@ -130,57 +129,86 @@ public:
     // application) to this rank's virtual clock.
     void advance_time(SimTime dt) { worker_.advance_time(dt); }
 
-    // --- Raw byte messages (MPI_BYTE path; the "baseline" in the paper).
-    [[nodiscard]] Request isend_bytes(const void* p, Count n, int dst, int tag);
-    [[nodiscard]] Request irecv_bytes(void* p, Count n, int src, int tag);
+    // --- The one front door: post `p` (p2p/payload.hpp) to/from a peer on
+    // a user tag. Every payload kind is validated by Payload::check() and
+    // lowered in one place, shared with the collective plane below.
+    [[nodiscard]] Request isend(const Payload& p, int dst, int tag);
+    [[nodiscard]] Request irecv(const Payload& p, int src, int tag);
 
-    // --- Derived datatypes (classic MPI; Open MPI-like engine).
+    // --- Per-kind forwards (see docs/API.md §3 for the descriptor each
+    // kind lowers to).
+    // Raw bytes (MPI_BYTE path; the "baseline" in the paper).
+    [[nodiscard]] Request isend_bytes(const void* p, Count n, int dst, int tag) {
+        return isend(Payload::bytes(p, n), dst, tag);
+    }
+    [[nodiscard]] Request irecv_bytes(void* p, Count n, int src, int tag) {
+        return irecv(Payload::bytes(p, n), src, tag);
+    }
+    // Derived datatypes (classic MPI; Open MPI-like engine).
     [[nodiscard]] Request isend(const void* buf, Count count, const dt::TypeRef& type,
-                                int dst, int tag);
+                                int dst, int tag) {
+        return isend(Payload::derived(buf, count, type), dst, tag);
+    }
     [[nodiscard]] Request irecv(void* buf, Count count, const dt::TypeRef& type,
-                                int src, int tag);
-
-    // --- Zero-serialization fast path (backend of mpicd::send/recv in
-    // p2p/api.hpp; see docs/API.md §7). isend_wire/irecv_wire move a
-    // trivially-wireable object as one CONTIG transfer borrowing the user
-    // buffer; isend_sized/irecv_sized move a contiguous-resizable payload
-    // as a two-entry IOV (staged u64 payload-byte-count + the payload
-    // itself, wire-identical to the CustomSerialize<std::vector<U>>
-    // lowering for count == 1). All four skip pack-plan compilation and
-    // the pack/unpack callbacks entirely and account to the fastpath/*
-    // counters.
-    [[nodiscard]] Request isend_wire(const void* p, Count n, int dst, int tag);
-    [[nodiscard]] Request irecv_wire(void* p, Count n, int src, int tag);
+                                int src, int tag) {
+        return irecv(Payload::derived(buf, count, type), src, tag);
+    }
+    // Zero-serialization fast path (backend of mpicd::send/recv in
+    // p2p/api.hpp; see docs/API.md §7). wire moves a trivially-wireable
+    // object as one CONTIG transfer borrowing the user buffer; sized moves
+    // a contiguous-resizable payload as a two-entry IOV (staged u64
+    // payload-byte-count + the payload itself, wire-identical to the
+    // CustomSerialize<std::vector<U>> lowering for count == 1). Both skip
+    // pack-plan compilation and the pack/unpack callbacks entirely and
+    // account to the fastpath/* counters.
+    [[nodiscard]] Request isend_wire(const void* p, Count n, int dst, int tag) {
+        return isend(Payload::wire(p, n), dst, tag);
+    }
+    [[nodiscard]] Request irecv_wire(void* p, Count n, int src, int tag) {
+        return irecv(Payload::wire(p, n), src, tag);
+    }
     [[nodiscard]] Request isend_sized(const void* payload, Count n, int dst,
-                                      int tag);
+                                      int tag) {
+        return isend(Payload::sized(payload, n), dst, tag);
+    }
     // `hdr` receives the sender's 8-byte length header (resized by the
     // call); the caller validates it against the delivered payload after
     // completion.
     [[nodiscard]] Request irecv_sized(std::shared_ptr<ByteVec> hdr, void* payload,
-                                      Count n, int src, int tag);
-
-    // --- Custom datatypes (the paper's API).
+                                      Count n, int src, int tag) {
+        return irecv(Payload::sized(payload, n, std::move(hdr)), src, tag);
+    }
+    // Custom datatypes (the paper's API).
     [[nodiscard]] Request isend_custom(const void* buf, Count count,
                                        const core::CustomDatatype& type, int dst,
                                        int tag,
                                        core::CustomLowering lowering =
-                                           core::CustomLowering::iov);
+                                           core::CustomLowering::iov) {
+        return isend(Payload::custom_of(buf, count, type, lowering), dst, tag);
+    }
     [[nodiscard]] Request irecv_custom(void* buf, Count count,
                                        const core::CustomDatatype& type, int src,
                                        int tag,
                                        core::CustomLowering lowering =
-                                           core::CustomLowering::iov);
+                                           core::CustomLowering::iov) {
+        return irecv(Payload::custom_of(buf, count, type, lowering), src, tag);
+    }
 
     // --- Blocking wrappers.
-    MsgStatus send_bytes(const void* p, Count n, int dst, int tag);
-    MsgStatus recv_bytes(void* p, Count n, int src, int tag);
-    MsgStatus send(const void* buf, Count count, const dt::TypeRef& type, int dst,
-                   int tag);
-    MsgStatus recv(void* buf, Count count, const dt::TypeRef& type, int src, int tag);
+    MsgStatus send_bytes(const void* p, Count n, int dst, int tag) {
+        return isend_bytes(p, n, dst, tag).wait();
+    }
+    MsgStatus recv_bytes(void* p, Count n, int src, int tag) {
+        return irecv_bytes(p, n, src, tag).wait();
+    }
     MsgStatus send_custom(const void* buf, Count count,
-                          const core::CustomDatatype& type, int dst, int tag);
+                          const core::CustomDatatype& type, int dst, int tag) {
+        return isend_custom(buf, count, type, dst, tag).wait();
+    }
     MsgStatus recv_custom(void* buf, Count count, const core::CustomDatatype& type,
-                          int src, int tag);
+                          int src, int tag) {
+        return irecv_custom(buf, count, type, src, tag).wait();
+    }
 
     // Combined send+receive (MPI_Sendrecv pattern): both operations are
     // posted before either is waited on, so it is deadlock-free when every
@@ -209,33 +237,20 @@ public:
     // the block) and the counter wraps harmlessly at 2^32: concurrent
     // outstanding collectives never span anywhere near 4 billion tags.
     [[nodiscard]] std::uint32_t coll_reserve_tags(std::uint32_t n);
-    // Post one step payload (raw bytes, derived or custom datatype; see
-    // coll/schedule.hpp) on collective tag `ctag`.
-    [[nodiscard]] Request coll_isend(const coll::Payload& p, int dst,
-                                     std::uint32_t ctag);
-    [[nodiscard]] Request coll_irecv(const coll::Payload& p, int src,
-                                     std::uint32_t ctag);
+    // Post one schedule step's payload (p2p/payload.hpp) on collective tag
+    // `ctag`, through the same lowering as isend/irecv.
+    [[nodiscard]] Request coll_isend(const Payload& p, int dst, std::uint32_t ctag);
+    [[nodiscard]] Request coll_irecv(const Payload& p, int src, std::uint32_t ctag);
 
 private:
     friend class Request;
 
-    [[nodiscard]] ucx::Tag encode_send_tag(int tag) const;
     void encode_recv_tag(int src, int tag, ucx::Tag* t, ucx::Tag* mask) const;
-    // Collective-plane encoders: context | kCollContextBit, full 32-bit
-    // unsigned collective tag in the user field.
-    [[nodiscard]] ucx::Tag encode_coll_send_tag(std::uint32_t ctag) const;
-    void encode_coll_recv_tag(int src, std::uint32_t ctag, ucx::Tag* t,
-                              ucx::Tag* mask) const;
-    [[nodiscard]] Status check_coll_peer(int peer) const;
-    // Shared custom-datatype lowering used by both tag planes.
-    [[nodiscard]] Request isend_custom_wiretag(const void* buf, Count count,
-                                               const core::CustomDatatype& type,
-                                               int dst, ucx::Tag wire_tag,
-                                               core::CustomLowering lowering);
-    [[nodiscard]] Request irecv_custom_wiretag(void* buf, Count count,
-                                               const core::CustomDatatype& type,
-                                               ucx::Tag t, ucx::Tag mask,
-                                               core::CustomLowering lowering);
+    // The one lowering per direction, shared by both tag planes: validate
+    // the payload, open the custom-type message scope, build the contig,
+    // derived, custom or sized descriptor, count fast-path hits, post.
+    [[nodiscard]] Request post_send(const Payload& p, int dst, ucx::Tag wire_tag);
+    [[nodiscard]] Request post_recv(const Payload& p, ucx::Tag t, ucx::Tag mask);
     // Argument validation at tag-encode time (see the constructor note):
     // negative user tags would alias large positives in the 32-bit user
     // field, out-of-range peers would alias through the 16-bit source

@@ -163,6 +163,22 @@ TEST(CApi, DerivedVectorRoundTrip) {
     ASSERT_EQ(MPIX_Run_world(2, world_derived, nullptr), MPI_SUCCESS);
 }
 
+void world_null_buffer(void*) {
+    int rank = -1;
+    MPI_Comm_rank(MPI_COMM_WORLD, &rank);
+    // A null buffer behind a nonzero count is an argument error, not a crash.
+    if (rank == 0)
+        EXPECT_EQ(MPI_Send(NULL, 16, MPIX_Type_byte(), 1, 4, MPI_COMM_WORLD), MPI_ERR_ARG);
+    else
+        EXPECT_EQ(MPI_Recv(NULL, 16, MPIX_Type_byte(), 0, 4, MPI_COMM_WORLD,
+                           MPI_STATUS_IGNORE),
+                  MPI_ERR_ARG);
+}
+
+TEST(CApi, NullBufferIsErrArg) {
+    ASSERT_EQ(MPIX_Run_world(2, world_null_buffer, nullptr), MPI_SUCCESS);
+}
+
 void world_probe(void*) {
     int rank = -1;
     MPI_Comm_rank(MPI_COMM_WORLD, &rank);

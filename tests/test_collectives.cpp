@@ -263,6 +263,16 @@ TEST(CollValidation, LocalErrorDoesNotDesyncTagEpoch) {
                   Status::err_arg);
         EXPECT_EQ(allreduce(comm, &d, -1, ReduceOp::sum), Status::err_arg);
         EXPECT_EQ(bcast_bytes(comm, &d, 8, 5), Status::err_arg); // root range
+        // A null buffer behind a nonzero derived-type count.
+        auto t = dt::Datatype::contiguous(2, dt::type_int32());
+        ASSERT_EQ(t->commit(), Status::success);
+        std::int32_t recv[4] = {};
+        const Count counts[2] = {1, 1}, displs[2] = {0, 1};
+        EXPECT_EQ(bcast(comm, nullptr, 1, t, 0), Status::err_arg);
+        EXPECT_EQ(coll::gatherv(comm, nullptr, 1, t, recv, counts, displs, t, 0),
+                  Status::err_arg);
+        EXPECT_EQ(coll::allgatherv(comm, nullptr, 1, t, recv, counts, displs, t),
+                  Status::err_arg);
         ASSERT_EQ(allreduce(comm, &d, 1, ReduceOp::sum), Status::success);
         EXPECT_EQ(d, 1.0);
     }, test::test_params());

@@ -2,7 +2,12 @@
 
 #include <atomic>
 #include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "core/paper_types.hpp"
+#include "p2p/coll/schedule.hpp"
 #include "p2p/runner.hpp"
 #include "test_util.hpp"
 
@@ -354,6 +359,181 @@ TEST(P2PExtras, WaitAllReportsFirstError) {
     std::vector<Request> reqs;
     reqs.push_back(uni.comm(0).isend_bytes(&v, 4, 9, 0)); // invalid dest
     EXPECT_EQ(wait_all(reqs), Status::err_arg);
+}
+
+// --- Argument validation ----------------------------------------------------
+
+// The per-kind entry points of Communicator, addressed by one table.
+enum class Kind { bytes, wire, sized, derived_contig, derived_vector, custom };
+
+const char* kind_name(Kind k) {
+    switch (k) {
+    case Kind::bytes: return "bytes";
+    case Kind::wire: return "wire";
+    case Kind::sized: return "sized";
+    case Kind::derived_contig: return "derived_contig";
+    case Kind::derived_vector: return "derived_vector";
+    case Kind::custom: return "custom";
+    }
+    return "?";
+}
+
+bool is_derived(Kind k) { return k == Kind::derived_contig || k == Kind::derived_vector; }
+
+// A committed 16-byte type of the given kind (contiguous or strided).
+dt::TypeRef committed_type(Kind k) {
+    auto t = k == Kind::derived_vector ? dt::Datatype::vector(2, 1, 2, dt::type_int32())
+                                       : dt::Datatype::contiguous(4, dt::type_int32());
+    EXPECT_EQ(t->commit(), Status::success);
+    return t;
+}
+
+Request post(Communicator& c, Kind k, bool send, void* buf, Count count, int peer,
+             int tag, const dt::TypeRef& type) {
+    const auto& custom = core::custom_datatype_of<core::StructSimple>();
+    switch (k) {
+    case Kind::bytes:
+        return send ? c.isend_bytes(buf, count, peer, tag)
+                    : c.irecv_bytes(buf, count, peer, tag);
+    case Kind::wire:
+        return send ? c.isend_wire(buf, count, peer, tag)
+                    : c.irecv_wire(buf, count, peer, tag);
+    case Kind::sized:
+        return send ? c.isend_sized(buf, count, peer, tag)
+                    : c.irecv_sized(std::make_shared<ByteVec>(), buf, count, peer, tag);
+    case Kind::derived_contig:
+    case Kind::derived_vector:
+        return send ? c.isend(buf, count, type, peer, tag)
+                    : c.irecv(buf, count, type, peer, tag);
+    case Kind::custom:
+        return send ? c.isend_custom(buf, count, custom, peer, tag)
+                    : c.irecv_custom(buf, count, custom, peer, tag);
+    }
+    return {};
+}
+
+constexpr Kind kAllKinds[] = {Kind::bytes,          Kind::wire,
+                              Kind::sized,          Kind::derived_contig,
+                              Kind::derived_vector, Kind::custom};
+
+// Every payload kind against every bad argument, in both directions: each
+// row pins the status the entry point returns, and nothing is posted.
+TEST(P2PValidation, EveryKindRejectsEveryBadArgument) {
+    Universe uni(2, test::test_params());
+    // Rank 5 of a 2-rank world: the communicator is invalid from birth.
+    Communicator invalid(uni, uni.worker(0), 5, 2, 0);
+    ASSERT_EQ(invalid.status(), Status::err_arg);
+    alignas(8) std::byte buf[256] = {};
+
+    enum class TypeArg { good, uncommitted, null };
+    struct Bad {
+        const char* name;
+        Count count;
+        int peer;
+        int tag;
+        TypeArg type;
+        bool invalid_comm;
+        bool derived_only;
+        Status expect;
+    };
+    const Bad rows[] = {
+        {"negative_count", -1, 1, 3, TypeArg::good, false, false, Status::err_arg},
+        {"peer_past_world", 1, 2, 3, TypeArg::good, false, false, Status::err_arg},
+        {"peer_negative", 1, -2, 3, TypeArg::good, false, false, Status::err_arg},
+        {"negative_tag", 1, 1, -7, TypeArg::good, false, false, Status::err_arg},
+        {"uncommitted_type", 1, 1, 3, TypeArg::uncommitted, false, true,
+         Status::err_not_committed},
+        {"null_type", 1, 1, 3, TypeArg::null, false, true, Status::err_arg},
+        {"invalid_comm", 1, 1, 3, TypeArg::good, true, false, Status::err_arg},
+    };
+    for (const Kind k : kAllKinds) {
+        for (const Bad& row : rows) {
+            if (row.derived_only && !is_derived(k)) continue;
+            dt::TypeRef type;
+            if (row.type == TypeArg::good) type = committed_type(k);
+            if (row.type == TypeArg::uncommitted)
+                type = dt::Datatype::vector(2, 1, 2, dt::type_int32());
+            for (const bool send : {true, false}) {
+                Communicator& c = row.invalid_comm ? invalid : uni.comm(0);
+                const Status st =
+                    post(c, k, send, buf, row.count, row.peer, row.tag, type).wait().status;
+                EXPECT_EQ(st, row.expect) << kind_name(k) << " " << row.name
+                                          << (send ? " send" : " recv");
+            }
+        }
+    }
+    // The collective plane checks its peer the same way.
+    {
+        using namespace coll;
+        for (const int peer : {-1, 2}) {
+            EXPECT_EQ(uni.comm(0).coll_isend(Payload::bytes(buf, 8), peer, 0).wait().status,
+                      Status::err_arg);
+            EXPECT_EQ(uni.comm(0).coll_irecv(Payload::bytes(buf, 8), peer, 0).wait().status,
+                      Status::err_arg);
+        }
+        EXPECT_EQ(invalid.coll_isend(Payload::bytes(buf, 8), 1, 0).wait().status,
+                  Status::err_arg);
+    }
+    EXPECT_TRUE(uni.worker(0).idle());
+    EXPECT_TRUE(uni.worker(1).idle());
+}
+
+// A null buffer behind a nonzero packed size is err_arg on every non-custom
+// kind, in both directions and on both tag planes, and posts nothing.
+TEST_F(P2P, NullBufferIsErrArg) {
+    const Kind kinds[] = {Kind::bytes, Kind::wire, Kind::sized, Kind::derived_contig,
+                          Kind::derived_vector};
+    for (const Kind k : kinds) {
+        const dt::TypeRef type = committed_type(k);
+        const Count count = is_derived(k) ? 1 : 64;
+        Payload p = Payload::bytes(nullptr, count);
+        if (k == Kind::wire) p = Payload::wire(nullptr, count);
+        if (k == Kind::sized) p = Payload::sized(nullptr, count, std::make_shared<ByteVec>());
+        if (is_derived(k)) p = Payload::derived(nullptr, count, type);
+        for (const bool send : {true, false}) {
+            const char* dir = send ? " send" : " recv";
+            EXPECT_EQ(post(uni.comm(0), k, send, nullptr, count, 1, 3, type).wait().status,
+                      Status::err_arg)
+                << kind_name(k) << dir;
+            Communicator& c = uni.comm(0);
+            Request rq = send ? c.coll_isend(p, 1, 0) : c.coll_irecv(p, 1, 0);
+            EXPECT_EQ(rq.wait().status, Status::err_arg)
+                << kind_name(k) << dir << " (collective plane)";
+            EXPECT_TRUE(uni.worker(0).idle()) << kind_name(k) << dir;
+            EXPECT_TRUE(uni.worker(1).idle()) << kind_name(k) << dir;
+        }
+    }
+
+    // A matched message is not consumed by a rejected imrecv.
+    const ByteVec src = test::pattern_bytes(16);
+    auto rs = uni.comm(0).isend_bytes(src.data(), 16, 1, 4);
+    Message msg = uni.comm(1).mprobe(0, 4);
+    EXPECT_EQ(uni.comm(1).imrecv(msg, nullptr, 16).wait().status, Status::err_arg);
+    ByteVec dst(16);
+    EXPECT_EQ(uni.comm(1).imrecv(msg, dst.data(), 16).wait().status, Status::success);
+    EXPECT_EQ(src, dst);
+    EXPECT_EQ(rs.wait().status, Status::success);
+
+    // Zero-size null stays legal.
+    auto rr = uni.comm(1).irecv_bytes(nullptr, 0, 0, 9);
+    EXPECT_EQ(uni.comm(0).isend_bytes(nullptr, 0, 1, 9).wait().status, Status::success);
+    EXPECT_EQ(rr.wait().status, Status::success);
+    EXPECT_TRUE(uni.worker(0).idle());
+    EXPECT_TRUE(uni.worker(1).idle());
+}
+
+// sendrecv_bytes reports a failed send on the receive's completion record.
+TEST(P2PValidation, SendrecvFailedSendKeepsReceiveResult) {
+    Universe uni(2, test::test_params());
+    std::int32_t out = 11, in = -1, theirs = 42;
+    auto rs = uni.comm(1).isend_bytes(&theirs, 4, 0, 5);
+    const MsgStatus st = uni.comm(0).sendrecv_bytes(&out, 4, /*dst=*/-1, 5, &in, 4, 1, 5);
+    EXPECT_EQ(st.status, Status::err_arg);
+    EXPECT_EQ(st.source, 1);
+    EXPECT_EQ(st.tag, 5);
+    EXPECT_EQ(st.bytes, 4);
+    EXPECT_EQ(in, 42);
+    EXPECT_EQ(rs.wait().status, Status::success);
 }
 
 } // namespace

@@ -22,7 +22,10 @@
 # buffers across threads, and ASan turns any use-after-release or
 # double-release of a slab into a hard failure. The leg also covers the
 # custom-type staging buffers and derived-type descriptors, whose lifetimes
-# rest on shared_ptr anchors alone. MPICD_SKIP_ASAN=1 skips it.
+# rest on shared_ptr anchors alone, and — through test_p2p, test_traits and
+# test_capi — the one payload lowering in p2p/communicator.cpp, which owns
+# the sized-header anchor and the custom receive op of every message.
+# MPICD_SKIP_ASAN=1 skips it.
 #
 # A ThreadSanitizer leg (-DMPICD_SANITIZE=thread) then replays the
 # matcher-heavy tests — test_matcher's randomized differential sweeps, the
@@ -100,11 +103,11 @@ asan_leg() {
           -DMPICD_BUILD_EXAMPLES=OFF >/dev/null &&
     cmake --build "$dir" -j "$JOBS" --target \
           test_base test_ucx test_faults test_reliability_soak \
-          test_custom test_pack_plan test_engine &&
+          test_custom test_pack_plan test_engine test_p2p test_traits test_capi &&
     export_lossy 42 &&
     ctest --test-dir "$dir" -j "$JOBS" --output-on-failure \
           --repeat until-pass:2 \
-          -R 'test_base|test_ucx|test_faults|test_reliability_soak|test_custom|test_pack_plan|test_engine'
+          -R 'test_base|test_ucx|test_faults|test_reliability_soak|test_custom|test_pack_plan|test_engine|test_p2p|test_traits|test_capi'
 }
 
 tsan_leg() {
