@@ -50,26 +50,6 @@ void PackStats::reset() noexcept {
     skeleton_hits.store(0, std::memory_order_relaxed);
 }
 
-void PackStats::print(std::FILE* out) const {
-    const PackStatsSnapshot s = snapshot();
-    std::fprintf(out, "# pack-path stats\n");
-    std::fprintf(out, "plans_compiled       %llu\n",
-                 static_cast<unsigned long long>(s.plans_compiled));
-    std::fprintf(out, "kernel_bytes         %llu\n",
-                 static_cast<unsigned long long>(s.kernel_bytes));
-    std::fprintf(out, "generic_bytes        %llu\n",
-                 static_cast<unsigned long long>(s.generic_bytes));
-    std::fprintf(out, "iov_entries_before   %llu\n",
-                 static_cast<unsigned long long>(s.iov_entries_before));
-    std::fprintf(out, "iov_entries_after    %llu\n",
-                 static_cast<unsigned long long>(s.iov_entries_after));
-    std::fprintf(out, "parallel_packs       %llu\n",
-                 static_cast<unsigned long long>(s.parallel_packs));
-    std::fprintf(out, "skeleton_hits        %llu\n",
-                 static_cast<unsigned long long>(s.skeleton_hits));
-    std::fflush(out);
-}
-
 PackStats& pack_stats() noexcept {
     static PackStats instance;
     return instance;

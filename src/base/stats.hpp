@@ -2,13 +2,12 @@
 // mean / min / max / stddev over repeated ping-pong iterations (the paper
 // reports the average of four runs with error bars), plus the global
 // pack-path counters (plan compiles, copy kernels, iovec coalescing, parallel
-// pack engine) that the benches print under MPICD_PACK_STATS=1.
+// pack engine) that every bench JSON carries as the pack/* metrics.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <vector>
 
 namespace mpicd {
@@ -62,8 +61,6 @@ public:
 
     [[nodiscard]] PackStatsSnapshot snapshot() const noexcept;
     void reset() noexcept;
-    // Human-readable dump (one line per nonzero counter).
-    void print(std::FILE* out) const;
 };
 
 // The process-wide instance.

@@ -164,15 +164,20 @@ MPI_Datatype make_predef_handle(const mpicd::dt::TypeRef& t) {
     return h;
 }
 
+// `count` elements of `type` at `buf`: custom or derived.
+mpicd::p2p::Payload payload_of(MPI_Datatype type, const void* buf, MPI_Count count) {
+    using mpicd::p2p::Payload;
+    return type->custom ? Payload::custom_of(buf, count, type->ctype)
+                        : Payload::derived(buf, count, type->dt);
+}
+
 int start_op(MPI_Comm comm, MPI_Datatype type, bool send, const void* buf,
              MPI_Count count, int peer, int tag, mpicd::p2p::Request* out) {
     if (comm == nullptr || comm->comm == nullptr || type == nullptr)
         return MPI_ERR_ARG;
     if (!type->custom && (type->dt == nullptr || !type->dt->committed()))
         return MPI_ERR_TYPE;
-    using mpicd::p2p::Payload;
-    const Payload p = type->custom ? Payload::custom_of(buf, count, type->ctype)
-                                   : Payload::derived(buf, count, type->dt);
+    const mpicd::p2p::Payload p = payload_of(type, buf, count);
     *out = send ? comm->comm->isend(p, peer, tag) : comm->comm->irecv(p, peer, tag);
     return MPI_SUCCESS;
 }
@@ -564,11 +569,8 @@ int MPI_Bcast(void* buf, MPI_Count count, MPI_Datatype type, int root,
               MPI_Comm comm) {
     if (comm == nullptr || comm->comm == nullptr || type == nullptr)
         return MPI_ERR_ARG;
-    if (type->custom) {
-        return to_mpi_err(
-            mpicd::p2p::bcast_custom(*comm->comm, buf, count, type->ctype, root));
-    }
-    return to_mpi_err(mpicd::p2p::bcast(*comm->comm, buf, count, type->dt, root));
+    return to_mpi_err(
+        mpicd::p2p::coll::ibcast(*comm->comm, payload_of(type, buf, count), root).wait());
 }
 
 int MPI_Gather(const void* sendbuf, MPI_Count sendcount, MPI_Datatype sendtype,

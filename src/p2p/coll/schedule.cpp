@@ -153,27 +153,8 @@ Schedule bcast_hier(const TopologyMap& t, int root, const Payload& p) {
 
 // ---------------------------------------------------------------------------
 // Gather (raw bytes): rank i's n-byte block lands at byte offset i*n in
-// the root's receive buffer.
-
-// Flat: linear fan-in.
-Schedule gather_flat(const TopologyMap& t, int root, const void* send, Count n,
-                     void* recv) {
-    Schedule s{Fam::gather, Algo::flat, t, {}, {}};
-    // n == 0: nothing to move on any rank (n is uniform by the collective
-    // contract).
-    if (n == 0) return s;
-    const int r = t.rank;
-    Round& rd = s.rounds.emplace_back();
-    if (r != root) {
-        rd.steps.push_back(send_step(root, 0, Payload::bytes(send, n)));
-        return s;
-    }
-    rd.actions.push_back(copy_action(at(recv, r * n), send, n));
-    for (int src = 0; src < t.size; ++src)
-        if (src != r)
-            rd.steps.push_back(recv_step(src, 0, Payload::bytes(at(recv, src * n), n)));
-    return s;
-}
+// the root's receive buffer. Flat is the gatherv over uniform blocks
+// (build_gather below).
 
 // Hierarchical: members send to their node leader, which forwards ONE
 // aggregated node block to the root (nodes are contiguous rank ranges, so
@@ -465,9 +446,14 @@ Schedule build_bcast(const TopologyMap& t, Algo a, int root, const Payload& data
 
 Schedule build_gather(const TopologyMap& t, Algo a, int root, const void* send,
                       Count n, void* recv) {
-    using Builder = Schedule (*)(const TopologyMap&, int, const void*, Count, void*);
-    constexpr Builder kBuilders[] = {gather_flat, gather_hier};
-    return kBuilders[static_cast<int>(a)](t, root, send, n, recv);
+    if (a == Algo::hier) return gather_hier(t, root, send, n, recv);
+    std::vector<Payload> in;
+    if (t.rank == root)
+        for (int src = 0; src < t.size; ++src)
+            in.push_back(Payload::bytes(n > 0 ? at(recv, src * n) : nullptr, n));
+    Schedule s = build_gatherv(t, root, Payload::bytes(send, n), in);
+    s.fam = Fam::gather;
+    return s;
 }
 
 Schedule build_gatherv(const TopologyMap& t, int root, const Payload& send,

@@ -2,32 +2,35 @@
 // MPI_Allgatherv / MPI_Alltoallv analogs) over raw bytes, derived
 // datatypes, and custom datatypes.
 //
-// Byte and derived variants take explicit per-rank counts and
-// displacements (bytes for the _bytes family, elements of the receive
-// type for the derived family), mirroring the MPI calling convention.
+// One front door per family: igatherv / iallgatherv / ialltoallv over
+// Payload blocks (p2p/payload.hpp), one per peer, indexed by rank. They
+// alone validate and launch; the per-kind forms below are forwards. The
+// one validation, in order: the communicator status, the root, spans of
+// comm.size() blocks (gatherv reads its receive blocks at the root only),
+// Payload::check() on every block, a non-null object behind every custom
+// block, and the self-block rule: this rank's own receive block is bytes
+// exactly when its send is and has the same wire_bytes() (-1 for two
+// custom blocks). All but the communicator status and err_not_committed
+// are err_arg, and a rank that fails reserves no tag block.
 //
-// The custom-datatype variants work at OBJECT granularity instead: every
-// rank contributes one custom-typed object and receivers pass one
-// pre-shaped object per source rank. The per-rank "variable extent" lives
-// inside the objects themselves — each receiver's own query callback
-// determines the expected packed size of each incoming object (the §VI
-// size contract), so no count/displacement arrays are exchanged at all.
+// Byte and derived forms take per-rank counts and displacements (bytes for
+// the _bytes family, elements of the receive type for the derived family),
+// mirroring the MPI calling convention. The custom forms work at OBJECT
+// granularity: every rank contributes one custom-typed object and
+// receivers pass one pre-shaped object per source rank, whose own query
+// callback sizes each incoming object (the §VI size contract).
 //
-// allgatherv_bytes is topology-aware (flat direct exchange vs node-leader
-// aggregation; see docs/COLLECTIVES.md). The other v-variants always use
-// direct point-to-point exchange on the collective tag plane. Zero-count
-// blocks move no wire traffic on either side.
+// allgatherv is topology-aware (flat direct exchange vs node-leader
+// aggregation, chosen by select_algo; docs/COLLECTIVES.md) exactly when
+// every block is bytes. Every other v-collective is a direct
+// point-to-point exchange on the collective tag plane. Empty blocks move
+// no wire traffic on either side.
 //
-// Every variant is a schedule run by the one collective executor, so the
-// i-forms return a CollRequest like the fixed-size nonblocking collectives
-// (and share their loss watchdog); the blocking forms wait on it. Count,
+// The i-forms return a CollRequest run by the one collective executor
+// (with its loss watchdog); the blocking forms wait on it. Payload, count,
 // displacement and object-pointer spans are read only during the call;
-// the buffers they describe follow the nonblocking buffer contract (valid
-// and, for sends, unmodified until the request completes).
-//
-// Every rank must enter the collectives in the same order. Spans must hold
-// comm.size() entries (err_arg otherwise; counts at non-root ranks of
-// gatherv are not read and may be empty).
+// the buffers they describe follow the nonblocking buffer contract.
+// Every rank must enter the collectives in the same order.
 #pragma once
 
 #include <span>
@@ -35,6 +38,16 @@
 #include "p2p/coll/request.hpp"
 
 namespace mpicd::p2p::coll {
+
+// --- Payload blocks: the front door. `recv` (and alltoallv's `send`) hold
+// one block per peer, indexed by rank. ------------------------------------
+[[nodiscard]] CollRequest igatherv(Communicator& comm, const Payload& send,
+                                   std::span<const Payload> recv, int root);
+[[nodiscard]] CollRequest iallgatherv(Communicator& comm, const Payload& send,
+                                      std::span<const Payload> recv);
+[[nodiscard]] CollRequest ialltoallv(Communicator& comm,
+                                     std::span<const Payload> send,
+                                     std::span<const Payload> recv);
 
 // --- Raw bytes (counts/displacements in bytes). ---------------------------
 [[nodiscard]] CollRequest igatherv_bytes(Communicator& comm, const void* send,

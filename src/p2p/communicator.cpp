@@ -117,7 +117,13 @@ bool Request::test(MsgStatus* out) {
 }
 
 bool Request::cancel() {
-    return !done_ && valid() && worker_->cancel_recv(id_);
+    if (done_ || !valid() || !worker_->cancel_recv(id_)) return false;
+    custom_.reset(); // frees the custom state; the unpack never runs
+    result_ = MsgStatus{};
+    result_.cancelled = true;
+    result_.vtime = worker_->now();
+    done_ = true;
+    return true;
 }
 
 MsgStatus Request::wait() {

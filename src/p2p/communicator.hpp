@@ -32,8 +32,9 @@ struct MsgStatus {
     Status status = Status::success;
     int source = -1;
     int tag = 0;
-    Count bytes = 0;     // payload bytes transferred
-    SimTime vtime = 0.0; // virtual completion time at this rank
+    bool cancelled = false; // withdrawn by Request::cancel (MPI_Test_cancelled)
+    Count bytes = 0;        // payload bytes transferred
+    SimTime vtime = 0.0;    // virtual completion time at this rank
 };
 
 // Probe result (MPI_Probe / MPI_Mprobe analog).
@@ -71,8 +72,10 @@ public:
 
     // Withdraw a receive that has not matched a message yet (MPI_Cancel
     // analog). Returns true when withdrawn: no message can land in its
-    // buffer afterwards. False for sends and for matched or finished
-    // receives.
+    // buffer afterwards, and the request is complete — test()/wait()
+    // return at once with bytes == 0 and `cancelled` set; a custom
+    // receive's state is freed without running its unpack. False for
+    // sends and for matched or finished receives.
     bool cancel();
 
 private:

@@ -134,6 +134,31 @@ TEST(CApi, CustomDatatypeRoundTrip) {
     ASSERT_EQ(MPIX_Run_world(2, world_custom, nullptr), MPI_SUCCESS);
 }
 
+// MPI_Bcast over a custom type: every rank pre-shapes two blobs of the
+// root's lengths; the root's bytes reach every rank through the regions.
+void world_custom_bcast(void*) {
+    int rank = -1;
+    MPI_Comm_rank(MPI_COMM_WORLD, &rank);
+    MPI_Datatype type = make_cblob_type();
+    constexpr int kRoot = 1;
+    unsigned char d0[300] = {}, d1[700] = {};
+    if (rank == kRoot) {
+        for (int i = 0; i < 300; ++i) d0[i] = static_cast<unsigned char>(i * 5 + 1);
+        for (int i = 0; i < 700; ++i) d1[i] = static_cast<unsigned char>(i * 7 + 2);
+    }
+    CBlob blobs[2] = {{300, d0}, {700, d1}};
+    ASSERT_EQ(MPI_Bcast(blobs, 2, type, kRoot, MPI_COMM_WORLD), MPI_SUCCESS);
+    for (int i = 0; i < 300; ++i)
+        ASSERT_EQ(d0[i], static_cast<unsigned char>(i * 5 + 1)) << "rank " << rank;
+    for (int i = 0; i < 700; ++i)
+        ASSERT_EQ(d1[i], static_cast<unsigned char>(i * 7 + 2)) << "rank " << rank;
+    MPI_Type_free(&type);
+}
+
+TEST(CApi, CustomBcastReachesEveryRank) {
+    ASSERT_EQ(MPIX_Run_world(3, world_custom_bcast, nullptr), MPI_SUCCESS);
+}
+
 void world_derived(void*) {
     int rank = -1;
     MPI_Comm_rank(MPI_COMM_WORLD, &rank);

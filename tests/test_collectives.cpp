@@ -585,6 +585,234 @@ TEST(CollVCustom, AlltoallvCustomVariableSizes) {
     }, test::test_params());
 }
 
+// --- One validation for every v-collective. --------------------------------
+
+enum class VFam { gatherv, allgatherv, alltoallv };
+enum class VKind { bytes, derived, custom };
+enum class Fault {
+    none, bad_comm, bad_root, short_counts, short_displs, short_objects,
+    negative_count, null_buffer, null_type, uncommitted_type, null_object,
+    own_block_smaller, own_block_larger
+};
+
+const char* vfam_name(VFam f) {
+    switch (f) {
+    case VFam::gatherv: return "gatherv";
+    case VFam::allgatherv: return "allgatherv";
+    case VFam::alltoallv: return "alltoallv";
+    }
+    return "?";
+}
+const char* vkind_name(VKind k) {
+    switch (k) {
+    case VKind::bytes: return "bytes";
+    case VKind::derived: return "derived";
+    case VKind::custom: return "custom";
+    }
+    return "?";
+}
+
+// Runs one v-collective with one fault on `send_side` (the send arguments)
+// or the receive arguments. Every rank contributes one int32 element per
+// destination (one vector<int32> object for custom), rank r's element to
+// peer p holding 100 * r + p; on success the receive blocks are checked.
+// The own-block faults make this rank's own receive block hold one
+// element fewer or more than its send (derived and bytes only).
+Status run_v(Communicator& comm, VFam fam, VKind kind, Fault fault, bool send_side) {
+    using Sub = std::vector<std::int32_t>;
+    const int n = comm.size(), r = comm.rank();
+    const auto un = static_cast<std::size_t>(n);
+    const bool a2a = fam == VFam::alltoallv;
+    const int root = fault == Fault::bad_root ? n : 0;
+    const auto on = [&](bool send) { return send == send_side; };
+    Communicator bad(comm.universe(), comm.worker(), n + 2, n, 0);
+    Communicator& c = fault == Fault::bad_comm ? bad : comm;
+
+    // One element per block; the own block of an own-block fault differs.
+    const Count own = fault == Fault::own_block_smaller  ? 1
+                      : fault == Fault::own_block_larger ? 3
+                                                         : 2;
+    std::vector<std::int32_t> sendbuf(3 * un, 0), recvbuf(3 * un, -1);
+    std::vector<Count> scounts(un, 2), sdispls(un), rcounts(un, 2), rdispls(un);
+    for (std::size_t p = 0; p < un; ++p) {
+        sdispls[p] = 3 * static_cast<Count>(p);
+        rdispls[p] = 3 * static_cast<Count>(p);
+        for (std::size_t i = 0; i < 2; ++i)
+            sendbuf[3 * p + i] = 100 * r + static_cast<std::int32_t>(p);
+    }
+    rcounts[static_cast<std::size_t>(r)] = own;
+    Count sendn = 2;
+    std::vector<Count>& counts = on(true) ? scounts : rcounts;
+    std::vector<Count>& displs = on(true) ? sdispls : rdispls;
+    if (fault == Fault::short_counts) counts.pop_back();
+    if (fault == Fault::short_displs) displs.pop_back();
+    if (fault == Fault::negative_count) {
+        if (a2a || !on(true)) counts[0] = -1;
+        else sendn = -1;
+    }
+    const std::int32_t* sendp = on(true) && fault == Fault::null_buffer ? nullptr
+                                                                        : sendbuf.data();
+    std::int32_t* recvp = !on(true) && fault == Fault::null_buffer ? nullptr
+                                                                   : recvbuf.data();
+    dt::TypeRef stype = dt::type_int32(), rtype = dt::type_int32();
+    dt::TypeRef& faulty = on(true) ? stype : rtype;
+    if (fault == Fault::null_type) faulty = nullptr;
+    if (fault == Fault::uncommitted_type)
+        faulty = dt::Datatype::contiguous(1, dt::type_int32());
+
+    std::vector<Sub> sobj(un), robj(un);
+    std::vector<const void*> sptrs;
+    std::vector<void*> rptrs;
+    for (std::size_t p = 0; p < un; ++p) {
+        sobj[p].assign(2, 100 * r + static_cast<std::int32_t>(p));
+        robj[p].assign(2, -1);
+        sptrs.push_back(&sobj[p]);
+        rptrs.push_back(&robj[p]);
+    }
+    const void* mine = &sobj[0];
+    if (fault == Fault::short_objects) {
+        if (on(true)) sptrs.pop_back();
+        else rptrs.pop_back();
+    }
+    if (fault == Fault::null_object) {
+        if (!on(true)) rptrs[0] = nullptr;
+        else if (a2a) sptrs[0] = nullptr;
+        else mine = nullptr;
+    }
+    // The bytes family counts bytes; the int32 blocks scale by 4.
+    const auto bytes = [](std::vector<Count> v) {
+        for (Count& x : v) x *= 4;
+        return v;
+    };
+
+    const auto& ctype = core::custom_datatype_of<Sub>();
+    Status st = Status::success;
+    switch (fam) {
+    case VFam::gatherv:
+        st = kind == VKind::bytes
+                 ? coll::gatherv_bytes(c, sendp, 4 * sendn, recvp, bytes(rcounts),
+                                       bytes(rdispls), root)
+             : kind == VKind::derived
+                 ? coll::gatherv(c, sendp, sendn, stype, recvp, rcounts, rdispls, rtype,
+                                 root)
+                 : coll::gatherv_custom(c, mine, ctype, rptrs, root);
+        break;
+    case VFam::allgatherv:
+        st = kind == VKind::bytes
+                 ? coll::allgatherv_bytes(c, sendp, 4 * sendn, recvp, bytes(rcounts),
+                                          bytes(rdispls))
+             : kind == VKind::derived
+                 ? coll::allgatherv(c, sendp, sendn, stype, recvp, rcounts, rdispls,
+                                    rtype)
+                 : coll::allgatherv_custom(c, mine, ctype, rptrs);
+        break;
+    case VFam::alltoallv:
+        st = kind == VKind::bytes
+                 ? coll::alltoallv_bytes(c, sendp, bytes(scounts), bytes(sdispls), recvp,
+                                         bytes(rcounts), bytes(rdispls))
+             : kind == VKind::derived
+                 ? coll::alltoallv(c, sendp, scounts, sdispls, stype, recvp, rcounts,
+                                   rdispls, rtype)
+                 : coll::alltoallv_custom(c, sptrs, rptrs, ctype);
+        break;
+    }
+    if (!ok(st) || (fam == VFam::gatherv && r != root)) return st;
+    // Source p's block: gatherv/allgatherv carry p's own element (sent to
+    // peer 0), alltoallv the element p addressed to this rank.
+    for (int p = 0; p < n; ++p) {
+        const auto up = static_cast<std::size_t>(p);
+        const std::int32_t want = 100 * p + (a2a ? r : 0);
+        const std::int32_t got = kind == VKind::custom ? robj[up][1] : recvbuf[3 * up + 1];
+        EXPECT_EQ(got, want) << vfam_name(fam) << " " << vkind_name(kind) << " from " << p;
+    }
+    return st;
+}
+
+// Every v-collective (family x kind) against every bad argument, with
+// every rank erring together. A 1-rank world also runs the faults only a
+// gatherv root reads (its receive arguments); a 3-rank world runs every
+// other fault. Afterwards a good collective of each family still pairs up,
+// so no failing rank consumed a tag block.
+TEST(CollValidation, EveryVariantRejectsEveryBadArgument) {
+    struct Row {
+        Fault fault;
+        bool send_side;
+        bool send_side_alltoallv_only; // a per-peer send span
+        std::vector<VKind> kinds;
+        Status expect;
+    };
+    const std::vector<VKind> all = {VKind::bytes, VKind::derived, VKind::custom};
+    const std::vector<VKind> counted = {VKind::bytes, VKind::derived};
+    const std::vector<VKind> derived = {VKind::derived};
+    const std::vector<VKind> custom = {VKind::custom};
+    const Row rows[] = {
+        {Fault::bad_comm, true, false, all, Status::err_arg},
+        {Fault::bad_root, true, false, all, Status::err_arg},
+        {Fault::short_counts, false, false, counted, Status::err_arg},
+        {Fault::short_counts, true, true, counted, Status::err_arg},
+        {Fault::short_displs, false, false, counted, Status::err_arg},
+        {Fault::short_displs, true, true, counted, Status::err_arg},
+        {Fault::short_objects, false, false, custom, Status::err_arg},
+        {Fault::short_objects, true, true, custom, Status::err_arg},
+        {Fault::negative_count, true, false, counted, Status::err_arg},
+        {Fault::negative_count, false, false, counted, Status::err_arg},
+        {Fault::null_buffer, true, false, counted, Status::err_arg},
+        {Fault::null_buffer, false, false, counted, Status::err_arg},
+        {Fault::null_type, true, false, derived, Status::err_arg},
+        {Fault::null_type, false, false, derived, Status::err_arg},
+        {Fault::uncommitted_type, true, false, derived, Status::err_not_committed},
+        {Fault::uncommitted_type, false, false, derived, Status::err_not_committed},
+        {Fault::null_object, true, false, custom, Status::err_arg},
+        {Fault::null_object, false, false, custom, Status::err_arg},
+    };
+    for (const int n : {1, 3}) {
+        run_world(n, [&](Communicator& comm) {
+            for (const VFam fam : {VFam::gatherv, VFam::allgatherv, VFam::alltoallv}) {
+                for (const Row& row : rows) {
+                    if (row.fault == Fault::bad_root && fam != VFam::gatherv) continue;
+                    if (row.send_side_alltoallv_only && fam != VFam::alltoallv) continue;
+                    // Only the gatherv root reads the receive arguments.
+                    const bool root_only = fam == VFam::gatherv && !row.send_side &&
+                                           row.fault != Fault::bad_comm;
+                    if (root_only && n > 1) continue;
+                    for (const VKind kind : row.kinds) {
+                        EXPECT_EQ(run_v(comm, fam, kind, row.fault, row.send_side),
+                                  row.expect)
+                            << vfam_name(fam) << " " << vkind_name(kind) << " fault "
+                            << static_cast<int>(row.fault)
+                            << (row.send_side ? " send" : " recv") << " n=" << n;
+                    }
+                }
+            }
+            for (const VFam fam : {VFam::gatherv, VFam::allgatherv, VFam::alltoallv})
+                for (const VKind kind : all)
+                    EXPECT_EQ(run_v(comm, fam, kind, Fault::none, true), Status::success)
+                        << vfam_name(fam) << " " << vkind_name(kind) << " n=" << n;
+        }, test::test_params());
+    }
+}
+
+// A derived v-collective whose own receive block differs in size from its
+// send is err_arg, as for bytes: smaller and larger, on every rank at once
+// (gatherv in a 1-rank world, where its root is every rank).
+TEST(CollV, DerivedSelfBlockSizeMismatchIsErrArg) {
+    for (const int n : {1, 3}) {
+        run_world(n, [&](Communicator& comm) {
+            for (const VFam fam : {VFam::gatherv, VFam::allgatherv, VFam::alltoallv}) {
+                if (fam == VFam::gatherv && n > 1) continue;
+                for (const Fault f : {Fault::own_block_smaller, Fault::own_block_larger})
+                    for (const VKind kind : {VKind::bytes, VKind::derived})
+                        EXPECT_EQ(run_v(comm, fam, kind, f, false), Status::err_arg)
+                            << vfam_name(fam) << " " << vkind_name(kind)
+                            << (f == Fault::own_block_smaller ? " smaller" : " larger")
+                            << " n=" << n;
+            }
+            EXPECT_EQ(run_v(comm, VFam::allgatherv, VKind::derived, Fault::none, true),
+                      Status::success);
+        }, test::test_params());
+    }
+}
+
 // --- Hierarchical algorithms on a two-level topology. ---------------------
 
 netsim::WireParams two_level_params() {

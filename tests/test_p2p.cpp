@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -534,6 +535,91 @@ TEST(P2PValidation, SendrecvFailedSendKeepsReceiveResult) {
     EXPECT_EQ(st.bytes, 4);
     EXPECT_EQ(in, 42);
     EXPECT_EQ(rs.wait().status, Status::success);
+}
+
+// A custom type over one int64 that counts its live states.
+std::atomic<int> g_live_states{0};
+std::atomic<int> g_states_made{0};
+core::CustomDatatype counted_int64() {
+    core::CustomCallbacks cb;
+    cb.state = [](void*, const void*, Count, void** state) {
+        ++g_live_states;
+        ++g_states_made;
+        *state = &g_live_states;
+        return Status::success;
+    };
+    cb.state_free = [](void*) {
+        --g_live_states;
+        return Status::success;
+    };
+    cb.query = [](void*, const void*, Count count, Count* size) {
+        *size = 8 * count;
+        return Status::success;
+    };
+    cb.pack = [](void*, const void* buf, Count count, Count offset, void* dst,
+                 Count dst_size, Count* used) {
+        *used = std::min(dst_size, 8 * count - offset);
+        std::memcpy(dst, static_cast<const std::byte*>(buf) + offset,
+                    static_cast<std::size_t>(*used));
+        return Status::success;
+    };
+    cb.unpack = [](void*, void* buf, Count, Count offset, const void* src, Count n) {
+        std::memcpy(static_cast<std::byte*>(buf) + offset, src,
+                    static_cast<std::size_t>(n));
+        return Status::success;
+    };
+    core::CustomDatatype type;
+    EXPECT_EQ(core::CustomDatatype::create(cb, &type), Status::success);
+    return type;
+}
+
+// A successful cancel completes the request: test() and wait() return at
+// once with no bytes and the request reported cancelled; a custom receive
+// frees its state exactly once; a later message goes to a later receive.
+TEST_F(P2P, CancelledReceiveCompletes) {
+    const dt::TypeRef vec = committed_type(Kind::derived_vector);
+    const core::CustomDatatype custom = counted_int64();
+    const Kind kinds[] = {Kind::bytes, Kind::derived_vector, Kind::custom};
+    for (const Kind k : kinds) {
+        g_live_states = 0;
+        g_states_made = 0;
+        std::int64_t buf[4] = {-1, -1, -1, -1};
+        {
+            Communicator& c = uni.comm(1);
+            Request rq = k == Kind::bytes ? c.irecv_bytes(buf, 8, 0, 21)
+                         : k == Kind::custom ? c.irecv_custom(buf, 1, custom, 0, 21)
+                                             : c.irecv(buf, 1, vec, 0, 21);
+            ASSERT_TRUE(rq.cancel()) << kind_name(k);
+            MsgStatus st;
+            bool done = false;
+            for (int i = 0; i < 1000 && !done; ++i) done = rq.test(&st);
+            ASSERT_TRUE(done) << kind_name(k);
+            EXPECT_TRUE(st.cancelled) << kind_name(k);
+            EXPECT_EQ(st.status, Status::success) << kind_name(k);
+            EXPECT_EQ(st.bytes, 0) << kind_name(k);
+            EXPECT_TRUE(rq.wait().cancelled) << kind_name(k);
+            EXPECT_FALSE(rq.cancel()) << kind_name(k);
+            if (k == Kind::custom) {
+                EXPECT_EQ(g_live_states.load(), 0);
+            }
+        }
+        if (k == Kind::custom) {
+            EXPECT_EQ(g_states_made.load(), 1);
+            EXPECT_EQ(g_live_states.load(), 0);
+        }
+        EXPECT_EQ(buf[0], -1) << kind_name(k);
+        // The tag is free again: a later pair matches normally.
+        const std::int64_t v = 77;
+        std::int64_t got = 0;
+        auto rr = uni.comm(1).irecv_bytes(&got, 8, 0, 21);
+        EXPECT_EQ(uni.comm(0).isend_bytes(&v, 8, 1, 21).wait().status, Status::success);
+        const MsgStatus st = rr.wait();
+        EXPECT_FALSE(st.cancelled);
+        EXPECT_EQ(st.bytes, 8);
+        EXPECT_EQ(got, 77) << kind_name(k);
+    }
+    EXPECT_TRUE(uni.worker(0).idle());
+    EXPECT_TRUE(uni.worker(1).idle());
 }
 
 } // namespace

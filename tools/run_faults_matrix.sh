@@ -25,6 +25,9 @@
 # rest on shared_ptr anchors alone, and — through test_p2p, test_traits and
 # test_capi — the one payload lowering in p2p/communicator.cpp, which owns
 # the sized-header anchor and the custom receive op of every message.
+# test_collectives, test_coll_faults and test_coll_schedule cover the
+# collective front door: the Payload blocks it builds are copied into the
+# schedule's steps and must never be read after the call returns.
 # MPICD_SKIP_ASAN=1 skips it.
 #
 # A ThreadSanitizer leg (-DMPICD_SANITIZE=thread) then replays the
@@ -103,11 +106,12 @@ asan_leg() {
           -DMPICD_BUILD_EXAMPLES=OFF >/dev/null &&
     cmake --build "$dir" -j "$JOBS" --target \
           test_base test_ucx test_faults test_reliability_soak \
-          test_custom test_pack_plan test_engine test_p2p test_traits test_capi &&
+          test_custom test_pack_plan test_engine test_p2p test_traits test_capi \
+          test_collectives test_coll_faults test_coll_schedule &&
     export_lossy 42 &&
     ctest --test-dir "$dir" -j "$JOBS" --output-on-failure \
           --repeat until-pass:2 \
-          -R 'test_base|test_ucx|test_faults|test_reliability_soak|test_custom|test_pack_plan|test_engine|test_p2p|test_traits|test_capi'
+          -R 'test_base|test_ucx|test_faults|test_reliability_soak|test_custom|test_pack_plan|test_engine|test_p2p|test_traits|test_capi|test_collectives|test_coll_faults|test_coll_schedule'
 }
 
 tsan_leg() {
