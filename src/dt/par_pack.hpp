@@ -51,7 +51,11 @@ namespace mpicd::dt {
 
 // Window variants over the packed-stream range [offset, offset + span)
 // where span = min(dst/src.size(), total - offset). These serve the
-// transport's fragment path, which packs at arbitrary stream offsets.
+// transport's fragment path, which packs at arbitrary stream offsets. At
+// the default wire parameters no fragment reaches the threshold
+// (rendezvous fragments are 512 KiB, the threshold is 2 MiB), so a
+// transfer packs serially unless the fragment size is raised or the
+// threshold lowered.
 [[nodiscard]] Status parallel_pack_range(const TypeRef& type, const void* buf,
                                          Count count, Count offset, MutBytes dst,
                                          Count* used);

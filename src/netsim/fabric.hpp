@@ -40,6 +40,45 @@ private:
     SimTime now_ = 0.0;
 };
 
+// The small protocol header of a packet, carried by value. Up to kInline
+// bytes live inside the packet itself — every fixed ucx header fits, so
+// building, copying (retransmit record, duplicate injection) and moving
+// such a packet never touches the heap. A longer header (an RDMA CTS with
+// its region table) spills to a heap buffer. Either way data()/size()
+// name exactly the bytes written, which is what the CRC and the fault
+// injector's byte draw read.
+class PacketHeader {
+public:
+    static constexpr std::size_t kInline = 32;
+
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+    [[nodiscard]] std::byte* data() noexcept {
+        return size_ > kInline ? spill_.data() : inline_;
+    }
+    [[nodiscard]] const std::byte* data() const noexcept {
+        return size_ > kInline ? spill_.data() : inline_;
+    }
+    [[nodiscard]] std::byte& operator[](std::size_t i) noexcept { return data()[i]; }
+
+    // Grow or shrink to n bytes, keeping the first min(n, size()) bytes;
+    // bytes past the old size are unspecified until written.
+    void resize(std::size_t n) {
+        if (n > kInline) {
+            if (size_ <= kInline) spill_.assign(inline_, inline_ + size_);
+            spill_.resize(n);
+        } else if (size_ > kInline) {
+            std::memcpy(inline_, spill_.data(), n);
+            spill_ = ByteVec{};
+        }
+        size_ = n;
+    }
+
+private:
+    std::byte inline_[kInline];
+    std::size_t size_ = 0;
+    ByteVec spill_; // used only while size_ > kInline
+};
+
 // A packet on the simulated wire. `kind` and `header` are opaque to the
 // fabric; the ucx layer defines them. The reliability fields (link_seq,
 // crc, needs_ack) are likewise opaque: they are written by the ucx
@@ -50,7 +89,7 @@ struct Packet {
     int src = -1;
     int dst = -1;
     std::uint16_t kind = 0;
-    ByteVec header;      // small protocol header (always by copy)
+    PacketHeader header; // small protocol header (always by copy)
     // Bulk payload carried by the wire (may be empty). Pool-backed: copying
     // a Packet (retransmit queue, duplicate injection) shares the slab;
     // anyone mutating payload bytes in place must ensure_unique() first

@@ -1,5 +1,9 @@
 #include "p2p/dt_bridge.hpp"
 
+#include <memory>
+#include <optional>
+#include <vector>
+
 #include "dt/convertor.hpp"
 #include "dt/par_pack.hpp"
 
@@ -12,14 +16,31 @@ namespace {
 // TypeRef for the parallel engine, which takes shared ownership.
 struct DtState {
     dt::TypeRef type;
-    dt::Convertor cv;
-    void* buf;
-    Count count;
+    std::optional<dt::Convertor> cv;
+    void* buf = nullptr;
+    Count count = 0;
 };
 
+// Finished states are recycled per thread, up to a bound, so a derived
+// message allocates no state in steady state. A state started on one rank
+// thread may finish on another; each thread keeps what it finishes. A
+// parked state holds no type reference.
+constexpr std::size_t kSpareStates = 64;
+thread_local std::vector<std::unique_ptr<DtState>> t_spare_states;
+
 DtState* new_state(void* ctx, void* buf, Count count) {
-    dt::TypeRef type = static_cast<dt::Datatype*>(ctx)->shared_from_this();
-    return new DtState{type, dt::Convertor(type, buf, count), buf, count};
+    std::unique_ptr<DtState> s;
+    if (t_spare_states.empty()) {
+        s = std::make_unique<DtState>();
+    } else {
+        s = std::move(t_spare_states.back());
+        t_spare_states.pop_back();
+    }
+    s->type = static_cast<dt::Datatype*>(ctx)->shared_from_this();
+    s->cv.emplace(s->type, buf, count);
+    s->buf = buf;
+    s->count = count;
+    return s.release();
 }
 
 Status dt_start_pack(void* ctx, const void* buf, Count count, void** state) {
@@ -33,22 +54,24 @@ Status dt_start_unpack(void* ctx, void* buf, Count count, void** state) {
 }
 
 Status dt_packed_size(void* state, Count* size) {
-    *size = static_cast<DtState*>(state)->cv.total_packed();
+    *size = static_cast<DtState*>(state)->cv->total_packed();
     return Status::success;
 }
 
 Status dt_pack(void* state, Count offset, void* dst, Count dst_size, Count* used) {
     auto* s = static_cast<DtState*>(state);
-    // Large fragments go through the parallel engine (partitioned by packed
-    // offset, byte-identical to the serial path). The serial convertor's
-    // cursor is left untouched; its next use re-seeks as needed.
+    // A fragment at or above the parallel threshold goes through the
+    // parallel engine (partitioned by packed offset, byte-identical to the
+    // serial path); at the default wire parameters none is, since
+    // fragments are 512 KiB and the threshold 2 MiB. The serial
+    // convertor's cursor is left untouched; its next use re-seeks as needed.
     if (dt::par_pack_eligible(dst_size)) {
         return dt::parallel_pack_range(
             s->type, s->buf, s->count, offset,
             MutBytes(static_cast<std::byte*>(dst), static_cast<std::size_t>(dst_size)),
             used);
     }
-    auto& cv = s->cv;
+    auto& cv = *s->cv;
     if (cv.position() != offset) cv.seek(offset);
     return cv.pack(MutBytes(static_cast<std::byte*>(dst),
                             static_cast<std::size_t>(dst_size)),
@@ -63,13 +86,19 @@ Status dt_unpack(void* state, Count offset, const void* src, Count src_size) {
             ConstBytes(static_cast<const std::byte*>(src),
                        static_cast<std::size_t>(src_size)));
     }
-    auto& cv = s->cv;
+    auto& cv = *s->cv;
     if (cv.position() != offset) cv.seek(offset);
     return cv.unpack(ConstBytes(static_cast<const std::byte*>(src),
                                 static_cast<std::size_t>(src_size)));
 }
 
-void dt_finish(void* state) { delete static_cast<DtState*>(state); }
+void dt_finish(void* state) {
+    std::unique_ptr<DtState> s(static_cast<DtState*>(state));
+    if (t_spare_states.size() >= kSpareStates) return;
+    s->cv.reset();
+    s->type.reset();
+    t_spare_states.push_back(std::move(s));
+}
 
 ucx::GenericDesc make_desc(const dt::TypeRef& type, Count count) {
     ucx::GenericDesc g;

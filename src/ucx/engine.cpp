@@ -41,8 +41,11 @@ Status scatter_into_regions(std::span<const IovEntry> regions, Count offset,
     return remaining == 0 ? Status::success : Status::err_truncate;
 }
 
-Status gather_from_regions(std::span<const ConstIovEntry> regions, Count offset,
-                           MutBytes dst, Count* used) {
+namespace {
+
+template <class Entry>
+Status gather(std::span<const Entry> regions, Count offset, MutBytes dst,
+              Count* used) {
     Count produced = 0;
     Count want = static_cast<Count>(dst.size());
     for (const auto& r : regions) {
@@ -65,7 +68,19 @@ Status gather_from_regions(std::span<const ConstIovEntry> regions, Count offset,
     return Status::success;
 }
 
-Status dma_regions(std::span<const ConstIovEntry> src, std::span<const IovEntry> dst,
+} // namespace
+
+Status gather_from_regions(std::span<const ConstIovEntry> regions, Count offset,
+                           MutBytes dst, Count* used) {
+    return gather(regions, offset, dst, used);
+}
+
+Status gather_from_regions(std::span<const IovEntry> regions, Count offset,
+                           MutBytes dst, Count* used) {
+    return gather(regions, offset, dst, used);
+}
+
+Status dma_regions(std::span<const IovEntry> src, std::span<const IovEntry> dst,
                    Count offset, Count len, Count* moved) {
     *moved = 0;
     // Advance both cursors to the stream offset, then walk the two region
@@ -105,16 +120,14 @@ SendSource::SendSource(const BufferDesc& desc) : desc_(&desc) {
     std::visit(
         Overloaded{
             [&](const ContigDesc& c) {
-                regions_.push_back({c.send_ptr, c.len});
+                contig_ = {const_cast<void*>(c.send_ptr), c.len};
+                regions_ = {&contig_, 1};
                 total_ = c.len;
                 total_known_ = true;
             },
             [&](const IovDesc& iov) {
-                regions_.reserve(iov.entries.size());
-                for (const auto& e : iov.entries) {
-                    regions_.push_back({e.base, e.len});
-                    total_ += e.len;
-                }
+                regions_ = iov.entries;
+                total_ = iov_total(regions_);
                 total_known_ = true;
             },
             [&](const GenericDesc& g) {
@@ -180,15 +193,13 @@ RecvSink::RecvSink(BufferDesc& desc) : desc_(&desc) {
     std::visit(
         Overloaded{
             [&](ContigDesc& c) {
-                regions_.push_back({c.recv_ptr, c.len});
+                contig_ = {c.recv_ptr, c.len};
+                regions_ = {&contig_, 1};
                 capacity_ = c.len;
             },
             [&](IovDesc& iov) {
-                regions_.reserve(iov.entries.size());
-                for (const auto& e : iov.entries) {
-                    regions_.push_back(e);
-                    capacity_ += e.len;
-                }
+                regions_ = iov.entries;
+                capacity_ = iov_total(regions_);
             },
             [&](GenericDesc& g) {
                 generic_ = true;

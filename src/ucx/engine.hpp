@@ -11,7 +11,7 @@
 // the caller through the wire model (see DESIGN.md §5).
 #pragma once
 
-#include <vector>
+#include <span>
 
 #include "base/bytes.hpp"
 #include "base/status.hpp"
@@ -37,8 +37,9 @@ public:
     // (contiguous buffer or iovec) — enables zero-copy rendezvous.
     [[nodiscard]] bool exposes_memory() const noexcept;
 
-    // Raw regions, valid only when exposes_memory().
-    [[nodiscard]] const std::vector<ConstIovEntry>& regions() const noexcept {
+    // Raw regions, valid only when exposes_memory(): the descriptor's own
+    // entries, read in place (a contiguous buffer is one entry).
+    [[nodiscard]] std::span<const IovEntry> regions() const noexcept {
         return regions_;
     }
 
@@ -58,7 +59,11 @@ public:
 
 private:
     const BufferDesc* desc_ = nullptr;
-    std::vector<ConstIovEntry> regions_; // flattened memory view (non-generic)
+    // Memory view (non-generic): the IOV descriptor's entries, or contig_.
+    std::span<const IovEntry> regions_;
+    // A contiguous buffer as one entry. The source only ever reads through
+    // it, so the non-const base it needs to share IovEntry is never written.
+    IovEntry contig_;
     void* generic_state_ = nullptr;
     bool generic_ = false;
     bool inorder_ = true;
@@ -80,7 +85,9 @@ public:
     [[nodiscard]] Count capacity() const noexcept { return capacity_; }
 
     [[nodiscard]] bool exposes_memory() const noexcept;
-    [[nodiscard]] const std::vector<IovEntry>& regions() const noexcept {
+    // Raw regions, valid only when exposes_memory(): the descriptor's own
+    // entries, read in place (a contiguous buffer is one entry).
+    [[nodiscard]] std::span<const IovEntry> regions() const noexcept {
         return regions_;
     }
     [[nodiscard]] Count sg_entries() const noexcept;
@@ -94,7 +101,8 @@ public:
 
 private:
     BufferDesc* desc_ = nullptr;
-    std::vector<IovEntry> regions_;
+    std::span<const IovEntry> regions_; // the IOV entries, or contig_
+    IovEntry contig_;
     void* generic_state_ = nullptr;
     bool generic_ = false;
     bool inorder_ = true;
@@ -111,6 +119,8 @@ private:
 // layout into dst; *used receives the bytes produced (may be short at end).
 [[nodiscard]] Status gather_from_regions(std::span<const ConstIovEntry> regions,
                                          Count offset, MutBytes dst, Count* used);
+[[nodiscard]] Status gather_from_regions(std::span<const IovEntry> regions,
+                                         Count offset, MutBytes dst, Count* used);
 
 // Move up to `len` bytes at stream offset `offset` directly from the
 // source region layout into the destination region layout — the simulated
@@ -118,7 +128,7 @@ private:
 // buffer, no host copy: the moved bytes count toward datapath::bytes_dma,
 // not bytes_copied. *moved may be short when the source is exhausted;
 // err_truncate when the destination cannot hold the source bytes.
-[[nodiscard]] Status dma_regions(std::span<const ConstIovEntry> src,
+[[nodiscard]] Status dma_regions(std::span<const IovEntry> src,
                                  std::span<const IovEntry> dst, Count offset,
                                  Count len, Count* moved);
 

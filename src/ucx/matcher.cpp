@@ -16,7 +16,48 @@ Histogram& probe_len_hist() {
     return h;
 }
 
+// Recycling bounds: drained tags' hash nodes (with their chains) and
+// matched messages' list nodes kept per side, emptied mask-group tables
+// kept, and the bucket count above which a sparse table is shrunk.
+constexpr std::size_t kSpareTags = 64;
+constexpr std::size_t kSpareMsgs = 64;
+constexpr std::size_t kSpareTables = 4;
+constexpr std::size_t kMaxIdleBuckets = 1024;
+
+// The bucket of a tag not yet in `map`, built from a parked node when one
+// is spare (the node keeps its chain's storage) instead of a new one.
+template <class Map>
+typename Map::iterator insert_recycled(Map& map,
+                                       std::vector<typename Map::node_type>& spare,
+                                       Tag key) {
+    if (spare.empty()) return map.try_emplace(key).first;
+    typename Map::node_type node = std::move(spare.back());
+    spare.pop_back();
+    node.key() = key;
+    return map.insert(std::move(node)).position;
+}
+
+// Remove a drained bucket, parking its node while the pool has room, and
+// shrink a table left mostly empty by a burst of distinct tags.
+template <class Map>
+void park_drained(Map& map, std::vector<typename Map::node_type>& spare,
+                  typename Map::iterator it) {
+    if (spare.size() < kSpareTags) {
+        spare.push_back(map.extract(it));
+    } else {
+        map.erase(it);
+    }
+    if (map.bucket_count() > kMaxIdleBuckets && map.size() * 8 < map.bucket_count())
+        map.rehash(0);
+}
+
 } // namespace
+
+TagMatcher::TagMatcher() {
+    spare_posted_.reserve(kSpareTags);
+    spare_tables_.reserve(kSpareTables);
+    spare_unex_tags_.reserve(kSpareTags);
+}
 
 TagMatcher::~TagMatcher() {
     // Fold the counters into the process-wide registry so BENCH_*.json
@@ -39,14 +80,32 @@ TagMatcher::MaskGroup& TagMatcher::group_for(Tag mask) {
     for (auto& g : groups_) {
         if (g.mask == mask) return g;
     }
-    groups_.push_back(MaskGroup{mask, {}});
+    PostedMap table;
+    if (!spare_tables_.empty()) {
+        table = std::move(spare_tables_.back());
+        spare_tables_.pop_back();
+    }
+    groups_.push_back(MaskGroup{mask, std::move(table)});
     return groups_.back();
 }
 
 void TagMatcher::post_recv(RequestId id, Tag tag, Tag mask) {
-    group_for(mask).buckets[tag & mask].push_back(
-        PostedEntry{id, tag, mask, next_seq_++});
+    MaskGroup& g = group_for(mask);
+    auto bucket = g.buckets.find(tag & mask);
+    if (bucket == g.buckets.end())
+        bucket = insert_recycled(g.buckets, spare_posted_, tag & mask);
+    bucket->second.push_back(PostedEntry{id, tag, mask, next_seq_++});
     ++posted_count_;
+}
+
+void TagMatcher::drop_posted_bucket(std::size_t gi, PostedMap::iterator b) {
+    MaskGroup& g = groups_[gi];
+    park_drained(g.buckets, spare_posted_, b);
+    if (!g.buckets.empty()) return;
+    if (spare_tables_.size() < kSpareTables) spare_tables_.push_back(std::move(g.buckets));
+    // Groups are unordered (arbitration is by sequence): swap-and-pop.
+    if (gi + 1 != groups_.size()) g = std::move(groups_.back());
+    groups_.pop_back();
 }
 
 std::optional<RequestId> TagMatcher::match_posted(Tag incoming) {
@@ -77,12 +136,7 @@ std::optional<RequestId> TagMatcher::match_posted(Tag incoming) {
     const RequestId id = bucket->second.front().id;
     if (g.mask != ~Tag{0}) ++stats_.wildcard_hits;
     bucket->second.pop_front();
-    if (bucket->second.empty()) g.buckets.erase(bucket);
-    if (g.buckets.empty()) {
-        // Groups are unordered (arbitration is by sequence): swap-and-pop.
-        g = std::move(groups_.back());
-        groups_.pop_back();
-    }
+    if (bucket->second.empty()) drop_posted_bucket(best_group, bucket);
     --posted_count_;
     ++stats_.posted_matches;
     return id;
@@ -98,11 +152,7 @@ bool TagMatcher::cancel_posted(RequestId id, Tag tag, Tag mask) {
         for (auto it = chain.begin(); it != chain.end(); ++it) {
             if (it->id != id) continue;
             chain.erase(it);
-            if (chain.empty()) g.buckets.erase(bucket);
-            if (g.buckets.empty()) {
-                g = std::move(groups_.back());
-                groups_.pop_back();
-            }
+            if (chain.empty()) drop_posted_bucket(gi, bucket);
             --posted_count_;
             return true;
         }
@@ -112,9 +162,17 @@ bool TagMatcher::cancel_posted(RequestId id, Tag tag, Tag mask) {
 }
 
 void TagMatcher::add_unexpected(UnexpectedMsg&& msg) {
-    unex_.push_back(std::move(msg));
+    if (spare_unex_.empty()) {
+        unex_.push_back(std::move(msg));
+    } else {
+        unex_.splice(unex_.end(), spare_unex_, spare_unex_.begin());
+        unex_.back() = std::move(msg);
+    }
     const auto it = std::prev(unex_.end());
-    unex_by_tag_[it->tag].push_back(it);
+    auto bucket = unex_by_tag_.find(it->tag);
+    if (bucket == unex_by_tag_.end())
+        bucket = insert_recycled(unex_by_tag_, spare_unex_tags_, it->tag);
+    bucket->second.push_back(it);
 }
 
 TagMatcher::UnexList::iterator TagMatcher::find_unexpected(Tag tag, Tag mask) {
@@ -149,8 +207,13 @@ void TagMatcher::erase_unexpected(UnexList::iterator it) {
     assert(b != unex_by_tag_.end() && !b->second.empty() &&
            b->second.front() == it);
     b->second.pop_front();
-    if (b->second.empty()) unex_by_tag_.erase(b);
-    unex_.erase(it);
+    if (b->second.empty()) park_drained(unex_by_tag_, spare_unex_tags_, b);
+    if (spare_unex_.size() < kSpareMsgs) {
+        it->payload = PooledBuf{}; // a parked node pins no slab
+        spare_unex_.splice(spare_unex_.end(), unex_, it);
+    } else {
+        unex_.erase(it);
+    }
 }
 
 std::optional<UnexpectedMsg> TagMatcher::take_unexpected(Tag tag, Tag mask) {
@@ -166,6 +229,14 @@ std::optional<UnexpectedMsg> TagMatcher::take_unexpected(Tag tag, Tag mask) {
 const UnexpectedMsg* TagMatcher::peek_unexpected(Tag tag, Tag mask) {
     const auto it = find_unexpected(tag, mask);
     return it == unex_.end() ? nullptr : &*it;
+}
+
+std::size_t TagMatcher::retained_tag_state() const noexcept {
+    std::size_t n = spare_posted_.size() + spare_unex_tags_.size() + spare_unex_.size() +
+                    unex_.size() + unex_by_tag_.size() + unex_by_tag_.bucket_count();
+    for (const MaskGroup& g : groups_) n += g.buckets.size() + g.buckets.bucket_count();
+    for (const PostedMap& t : spare_tables_) n += t.bucket_count();
+    return n;
 }
 
 } // namespace mpicd::ucx

@@ -25,6 +25,14 @@
 //    are interchangeable under any predicate, so the earliest acceptable
 //    one is the earliest of its tag).
 //
+// Storage is recycled, so a steady stream of messages allocates nothing:
+// a drained tag's hash node (with its chain) and a matched message's list
+// node move to bounded spare pools and are reused by the next new tag or
+// message, and an emptied mask group parks its table for the next group.
+// Tags that never repeat (collective epochs) therefore cost nothing past
+// the bound, and an oversized idle table is shrunk, so the per-tag state
+// held once every tag has drained is a constant (retained_tag_state()).
+//
 // Not thread-safe: the owning Worker serializes access under its mutex.
 #pragma once
 
@@ -80,7 +88,7 @@ struct MatcherStats {
 
 class TagMatcher {
 public:
-    TagMatcher() = default;
+    TagMatcher();
     ~TagMatcher();
     TagMatcher(const TagMatcher&) = delete;
     TagMatcher& operator=(const TagMatcher&) = delete;
@@ -108,6 +116,11 @@ public:
 
     [[nodiscard]] const MatcherStats& local_stats() const noexcept { return stats_; }
 
+    // Per-tag storage held right now, live or parked for reuse: hash
+    // buckets, tag entries and list nodes. After every tag has drained it
+    // is at most a constant, however many distinct tags went through.
+    [[nodiscard]] std::size_t retained_tag_state() const noexcept;
+
 private:
     struct PostedEntry {
         RequestId id = kInvalidRequest;
@@ -118,14 +131,18 @@ private:
     // One group per distinct mask value; buckets keyed by (tag & mask) so
     // bucket equality <=> predicate acceptance for this mask. Each bucket
     // is a FIFO chain in posting order.
+    using PostedMap = std::unordered_map<Tag, std::deque<PostedEntry>>;
     struct MaskGroup {
         Tag mask = ~Tag{0};
-        std::unordered_map<Tag, std::deque<PostedEntry>> buckets;
+        PostedMap buckets;
     };
 
     using UnexList = std::list<UnexpectedMsg>;
+    using UnexIndex = std::unordered_map<Tag, std::deque<UnexList::iterator>>;
 
     MaskGroup& group_for(Tag mask);
+    // Drop drained bucket `b` of group `gi`, and the group once empty.
+    void drop_posted_bucket(std::size_t gi, PostedMap::iterator b);
     void erase_unexpected(UnexList::iterator it);
     [[nodiscard]] UnexList::iterator find_unexpected(Tag tag, Tag mask);
     void note_probe(std::uint64_t scanned);
@@ -134,11 +151,19 @@ private:
     std::size_t posted_count_ = 0;
 
     std::vector<MaskGroup> groups_;
+    // Parked for reuse (each bounded): drained posted chains with their
+    // hash nodes, and the tables of emptied mask groups.
+    std::vector<PostedMap::node_type> spare_posted_;
+    std::vector<PostedMap> spare_tables_;
 
     // Master unexpected list in arrival order ...
     UnexList unex_;
     // ... plus a per-tag FIFO index into it.
-    std::unordered_map<Tag, std::deque<UnexList::iterator>> unex_by_tag_;
+    UnexIndex unex_by_tag_;
+    // Parked for reuse (each bounded): matched messages' list nodes and
+    // drained tags' index nodes.
+    UnexList spare_unex_;
+    std::vector<UnexIndex::node_type> spare_unex_tags_;
 
     MatcherStats stats_;
 };

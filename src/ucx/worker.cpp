@@ -1,6 +1,7 @@
 #include "ucx/worker.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <limits>
@@ -108,14 +109,17 @@ struct AckHeader {
 }
 
 template <typename H>
-ByteVec encode_header(const H& h) {
-    ByteVec out(sizeof(H));
+netsim::PacketHeader encode_header(const H& h) {
+    static_assert(sizeof(H) <= netsim::PacketHeader::kInline,
+                  "fixed headers travel inline");
+    netsim::PacketHeader out;
+    out.resize(sizeof(H));
     std::memcpy(out.data(), &h, sizeof(H));
     return out;
 }
 
 template <typename H>
-H decode_header(const ByteVec& bytes) {
+H decode_header(const netsim::PacketHeader& bytes) {
     assert(bytes.size() >= sizeof(H));
     H h;
     std::memcpy(&h, bytes.data(), sizeof(H));
@@ -128,6 +132,14 @@ H decode_header(const ByteVec& bytes) {
 // Internal request / unexpected-message state
 
 struct Worker::Request {
+    // --- Slot state, kept across the requests the slot holds.
+    // The id whose completion is published here (kInvalidRequest while in
+    // flight and once taken): the one field is_complete() reads.
+    std::atomic<RequestId> published{kInvalidRequest};
+    std::uint32_t generation = 0;
+    std::uint32_t next_free = 0; // free-list link (index + 1; 0 ends)
+
+    // --- The operation.
     enum class Kind { send, recv };
     Kind kind = Kind::recv;
     RequestId id = kInvalidRequest;
@@ -164,7 +176,66 @@ struct Worker::Request {
     // map; the buffers keep referencing the packet slabs — no staging
     // copy.
     std::vector<std::pair<Count, PooledBuf>> frag_stash;
+
+    // Start operation `new_id` in this slot: every operation field back to
+    // its default (source, sink and the stash were released when the last
+    // operation ended; the stash keeps its capacity).
+    void reset(RequestId new_id, Tag new_tag, BufferDesc&& new_desc) {
+        kind = Kind::recv;
+        id = new_id;
+        tag = new_tag;
+        mask = ~Tag{0};
+        peer = -1;
+        desc = std::move(new_desc);
+        expected_total = 0;
+        bytes_received = 0;
+        op_id = 0;
+        done = false;
+        comp = Completion{};
+        msg_id = 0;
+        post_vtime = -1.0;
+        retransmits = 0;
+        unacked = 0;
+        finish_on_ack = false;
+        fin_status = Status::success;
+        fin_len = 0;
+        op_deadline = 0.0;
+    }
+
+    // End the operation: free its datatype state and drop the descriptor
+    // (and any keepalive it anchors).
+    void release() {
+        source.reset();
+        sink.reset();
+        desc = ContigDesc{};
+        frag_stash.clear();
+    }
 };
+
+namespace {
+
+// Flight-dump form of a request id: "<slot>.<generation>", "-" for none.
+struct IdText {
+    explicit IdText(RequestId id) {
+        if (id == kInvalidRequest) {
+            std::snprintf(s, sizeof s, "-");
+        } else {
+            std::snprintf(s, sizeof s, "%u.%u", static_cast<std::uint32_t>(id) - 1,
+                          static_cast<std::uint32_t>(id >> 32));
+        }
+    }
+    char s[24];
+};
+
+// Slot index -> (chunk, offset within it) for chunks of kFirst << k slots.
+template <std::uint32_t kFirst>
+std::pair<std::size_t, std::uint32_t> locate_slot(std::uint32_t index) noexcept {
+    const std::uint32_t j = index / kFirst + 1;
+    const auto chunk = static_cast<std::size_t>(std::bit_width(j) - 1);
+    return {chunk, index - kFirst * ((1u << chunk) - 1)};
+}
+
+} // namespace
 
 Worker::Worker(netsim::Fabric& fabric, int endpoint)
     : fabric_(fabric), params_(fabric.params()), ep_(endpoint),
@@ -177,6 +248,7 @@ Worker::Worker(netsim::Fabric& fabric, int endpoint)
 
 Worker::~Worker() {
     flight::unregister_source(flight_token_);
+    for (auto& chunk : chunks_) delete[] chunk.load(std::memory_order_relaxed);
     // Fold this worker's protocol counters into the process-wide registry
     // so metrics snapshots (and the BENCH_*.json artifacts) aggregate every
     // worker that ever lived, not just the ones still alive at dump time.
@@ -208,14 +280,42 @@ void Worker::advance_time(SimTime dt) {
     clock_.advance(dt);
 }
 
+Worker::Request* Worker::slot_of(RequestId id) const noexcept {
+    const auto low = static_cast<std::uint32_t>(id);
+    if (low == 0) return nullptr;
+    const auto [chunk, offset] = locate_slot<kFirstChunk>(low - 1);
+    Request* base = chunks_[chunk].load(std::memory_order_acquire);
+    return base == nullptr ? nullptr : base + offset;
+}
+
+Worker::Request* Worker::find_locked(RequestId id) const noexcept {
+    Request* rq = slot_of(id);
+    return rq != nullptr && rq->id == id && !rq->done ? rq : nullptr;
+}
+
 Worker::Request& Worker::add_request_locked(Tag tag, BufferDesc&& desc) {
-    auto owner = std::make_unique<Request>();
-    Request& rq = *owner;
-    rq.id = next_id_++;
-    rq.tag = tag;
-    rq.desc = std::move(desc);
-    requests_.emplace(rq.id, std::move(owner));
-    return rq;
+    if (free_head_ == 0) free_head_ = returned_head_.exchange(0, std::memory_order_acquire);
+    std::uint32_t index = 0;
+    Request* rq = nullptr;
+    if (free_head_ != 0) {
+        index = free_head_ - 1;
+        rq = slot_of(free_head_);
+        free_head_ = rq->next_free;
+    } else {
+        index = slots_made_++;
+        const auto [chunk, offset] = locate_slot<kFirstChunk>(index);
+        Request* base = chunks_[chunk].load(std::memory_order_relaxed);
+        if (base == nullptr) {
+            base = new Request[std::size_t{kFirstChunk} << chunk];
+            chunks_[chunk].store(base, std::memory_order_release);
+        }
+        rq = base + offset;
+    }
+    ++rq->generation;
+    rq->reset((static_cast<RequestId>(rq->generation) << 32) | (index + 1), tag,
+              std::move(desc));
+    live_requests_.fetch_add(1, std::memory_order_relaxed);
+    return *rq;
 }
 
 void Worker::complete_locked(Request& rq, Status st, Count len, Tag sender_tag) {
@@ -231,13 +331,6 @@ void Worker::complete_locked(Request& rq, Status st, Count len, Tag sender_tag) 
     rq.comp.sender_tag = sender_tag;
     rq.comp.vtime = clock_.now();
     rq.comp.msg_id = rq.msg_id;
-    {
-        // Publish to the completion registry so is_complete()/
-        // take_completion() never need the protocol mutex. Lock order is
-        // always mutex_ -> comp_mutex_, never the reverse.
-        const std::lock_guard<std::mutex> ck(comp_mutex_);
-        completed_[rq.id] = rq.comp;
-    }
     // Completion may fire from ack/timer context where no scope is open;
     // the explicit scope pins the event to the right message either way.
     const trace::MsgScope msg_scope(rq.msg_id);
@@ -259,8 +352,10 @@ void Worker::complete_locked(Request& rq, Status st, Count len, Tag sender_tag) 
     }
     // Free datatype state eagerly so user callbacks see deterministic
     // lifetime (the paper frees the state object on operation completion).
-    rq.source.reset();
-    rq.sink.reset();
+    rq.release();
+    // Publish last: from here on take_completion() reads the record and
+    // hands the slot back without the protocol mutex.
+    rq.published.store(rq.id, std::memory_order_release);
 }
 
 // ---------------------------------------------------------------------------
@@ -382,20 +477,17 @@ void Worker::handle_ack_locked(const netsim::Packet& pkt) {
     trace::instant("ucx", "ack_recv", clock_.now(), "seq", h.acked_seq);
     const RequestId owner = it->second.owner;
     pending_tx_.erase(it);
-    if (owner == kInvalidRequest) return;
-    const auto rit = requests_.find(owner);
-    if (rit == requests_.end() || rit->second->done) return;
-    Request& rq = *rit->second;
-    if (rq.unacked > 0) --rq.unacked;
-    if (rq.finish_on_ack && rq.unacked == 0)
-        complete_locked(rq, rq.fin_status, rq.fin_len, 0);
+    Request* rq = find_locked(owner);
+    if (rq == nullptr) return;
+    if (rq->unacked > 0) --rq->unacked;
+    if (rq->finish_on_ack && rq->unacked == 0)
+        complete_locked(*rq, rq->fin_status, rq->fin_len, 0);
 }
 
 void Worker::fail_request_locked(RequestId id, Status st) {
-    if (id == kInvalidRequest) return;
-    const auto it = requests_.find(id);
-    if (it == requests_.end() || it->second->done) return;
-    Request& rq = *it->second;
+    Request* found = find_locked(id);
+    if (found == nullptr) return;
+    Request& rq = *found;
     // Release every piece of protocol state that still references the
     // request so nothing dangles and idle() converges.
     if (rq.op_id != 0) {
@@ -431,10 +523,7 @@ bool Worker::fire_timers_locked() {
         const trace::MsgScope msg_scope(ptx.pkt.msg_id);
         trace::instant("ucx", "retransmit", now, "seq", seq, "retry",
                        static_cast<std::uint64_t>(ptx.retries));
-        if (ptx.owner != kInvalidRequest) {
-            const auto rit = requests_.find(ptx.owner);
-            if (rit != requests_.end()) ++rit->second->retransmits;
-        }
+        if (Request* owner = find_locked(ptx.owner)) ++owner->retransmits;
         ptx.rto *= 2.0; // exponential backoff in virtual time
         netsim::Packet copy = ptx.pkt;
         const SimTime arrival =
@@ -466,18 +555,15 @@ bool Worker::fire_timers_locked() {
     if (!rndv_recvs_.empty()) {
         std::vector<RequestId> expired;
         for (const auto& [op, rid] : rndv_recvs_) {
-            const auto rit = requests_.find(rid);
-            if (rit == requests_.end() || rit->second->done) continue;
-            const Request& rq = *rit->second;
-            if (rq.op_deadline > 0.0 && rq.op_deadline <= now)
+            const Request* rq = find_locked(rid);
+            if (rq != nullptr && rq->op_deadline > 0.0 && rq->op_deadline <= now)
                 expired.push_back(rid);
         }
         for (const RequestId rid : expired) {
             ++stats_.timeouts;
             if (flight::enabled()) {
-                const auto rit = requests_.find(rid);
-                const std::uint64_t msg =
-                    rit != requests_.end() ? rit->second->msg_id : 0;
+                const Request* rq = find_locked(rid);
+                const std::uint64_t msg = rq != nullptr ? rq->msg_id : 0;
                 flight::trigger("recv_watchdog_expired", msg, now,
                                 flight_token_, [this](std::FILE* out) {
                                     dump_state_locked(out);
@@ -494,10 +580,8 @@ SimTime Worker::next_timer_locked() const {
     SimTime t = std::numeric_limits<SimTime>::infinity();
     for (const auto& [seq, ptx] : pending_tx_) t = std::min(t, ptx.next_retry);
     for (const auto& [op, rid] : rndv_recvs_) {
-        const auto rit = requests_.find(rid);
-        if (rit == requests_.end() || rit->second->done) continue;
-        if (rit->second->op_deadline > 0.0)
-            t = std::min(t, rit->second->op_deadline);
+        const Request* rq = find_locked(rid);
+        if (rq != nullptr && rq->op_deadline > 0.0) t = std::min(t, rq->op_deadline);
     }
     return t;
 }
@@ -589,7 +673,8 @@ void Worker::start_send_locked(Request& rq) {
         /*rail=*/0, /*control=*/true, &rq);
 }
 
-netsim::Packet Worker::packet_to(int dst, std::uint16_t kind, ByteVec header,
+netsim::Packet Worker::packet_to(int dst, std::uint16_t kind,
+                                 netsim::PacketHeader header,
                                  const Request& rq) const {
     netsim::Packet pkt;
     pkt.src = ep_;
@@ -706,7 +791,7 @@ void Worker::match_rts_locked(Request& rq, const UnexpectedMsg& u) {
     rq.expected_total = u.total;
     rndv_recvs_.emplace(rq.op_id, rq.id);
     const bool rdma = rq.sink->exposes_memory();
-    ByteVec header;
+    netsim::PacketHeader header;
     if (rdma) {
         // The CTS carries the receiver's region table after the fixed part.
         const auto& regions = rq.sink->regions();
@@ -853,7 +938,7 @@ void Worker::handle_arrival_locked(netsim::Packet&& pkt) {
     u.msg_id = pkt.msg_id;
     u.post_vtime = pkt.post_vtime;
     if (const auto id = matcher_.match_posted(u.tag)) {
-        deliver_locked(*requests_.at(*id), std::move(u));
+        deliver_locked(*find_locked(*id), std::move(u));
         return;
     }
     ++stats_.unexpected_msgs;
@@ -868,7 +953,7 @@ void Worker::handle_cts_locked(netsim::Packet&& pkt) {
         MPICD_LOG_ERROR("CTS for unknown sender op " << h.sender_op);
         return;
     }
-    Request& rq = *requests_.at(it->second);
+    Request& rq = *find_locked(it->second);
     rndv_sends_.erase(it);
     // Data-phase events (pack reads, rdma/frag sends, FIN) belong to the
     // send request's message.
@@ -995,7 +1080,7 @@ void Worker::handle_fin_locked(netsim::Packet&& pkt) {
     const auto h = decode_header<FinHeader>(pkt.header);
     const auto it = rndv_recvs_.find(h.recv_op);
     if (it == rndv_recvs_.end()) return;
-    Request& rq = *requests_.at(it->second);
+    Request& rq = *find_locked(it->second);
     rndv_recvs_.erase(it);
     const trace::MsgScope msg_scope(rq.msg_id);
     clock_.observe(h.data_vtime);
@@ -1009,7 +1094,7 @@ void Worker::handle_frag_locked(netsim::Packet&& pkt) {
     const auto h = decode_header<FragHeader>(pkt.header);
     const auto it = rndv_recvs_.find(h.recv_op);
     if (it == rndv_recvs_.end()) return;
-    Request& rq = *requests_.at(it->second);
+    Request& rq = *find_locked(it->second);
     // Sink writes (generic unpack callbacks) and completion run under the
     // message that produced the fragment.
     const trace::MsgScope msg_scope(rq.msg_id);
@@ -1069,34 +1154,46 @@ void Worker::handle_frag_locked(netsim::Packet&& pkt) {
 // Completion / probe API
 
 bool Worker::is_complete(RequestId id) {
-    // Registry-only read: completion polling never contends with the
-    // protocol mutex (a rank thread spinning in wait() does not stall a
-    // peer thread progressing this worker).
-    const std::lock_guard<std::mutex> lock(comp_mutex_);
-    return completed_.count(id) != 0;
+    // One acquire load of the slot: completion polling never contends with
+    // the protocol mutex (a rank thread spinning in wait() does not stall
+    // a peer thread progressing this worker).
+    const Request* rq = slot_of(id);
+    return rq != nullptr && rq->published.load(std::memory_order_acquire) == id;
 }
 
 Completion Worker::take_completion(RequestId id) {
-    Completion comp;
-    {
-        const std::lock_guard<std::mutex> lock(comp_mutex_);
-        const auto it = completed_.find(id);
-        assert(it != completed_.end());
-        comp = it->second;
-        completed_.erase(it);
+    Request* rq = slot_of(id);
+    RequestId expected = id;
+    // Unpublishing makes `id` stale at once; the acquire pairs with
+    // complete_locked()'s release, so the record below is complete.
+    if (rq == nullptr ||
+        !rq->published.compare_exchange_strong(expected, kInvalidRequest,
+                                               std::memory_order_acquire)) {
+        assert(false && "take_completion of a request that is not complete");
+        return Completion{Status::err_arg};
     }
-    const std::lock_guard<std::mutex> lock(mutex_);
-    requests_.erase(id);
+    const Completion comp = rq->comp;
+    // Hand the slot back without the protocol mutex: push it on the
+    // returned list, which add_request_locked() drains whole.
+    const auto link = static_cast<std::uint32_t>(id);
+    std::uint32_t head = returned_head_.load(std::memory_order_relaxed);
+    do {
+        rq->next_free = head;
+    } while (!returned_head_.compare_exchange_weak(head, link, std::memory_order_release,
+                                                   std::memory_order_relaxed));
+    live_requests_.fetch_sub(1, std::memory_order_release);
     return comp;
 }
 
 bool Worker::cancel_recv(RequestId id) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = requests_.find(id);
-    if (it == requests_.end() || it->second->done) return false;
-    if (!matcher_.cancel_posted(id, it->second->tag, it->second->mask))
-        return false;
-    requests_.erase(it);
+    Request* rq = find_locked(id);
+    if (rq == nullptr || !matcher_.cancel_posted(id, rq->tag, rq->mask)) return false;
+    rq->release();
+    rq->done = true; // never published: `id` reads incomplete, then stale
+    rq->next_free = free_head_;
+    free_head_ = static_cast<std::uint32_t>(id);
+    live_requests_.fetch_sub(1, std::memory_order_release);
     return true;
 }
 
@@ -1146,38 +1243,41 @@ WorkerStats Worker::stats_locked() const {
 
 bool Worker::idle() {
     const std::lock_guard<std::mutex> lock(mutex_);
-    return requests_.empty() && matcher_.empty() && mprobed_.empty() &&
-           rndv_sends_.empty() && rndv_recvs_.empty() && pending_tx_.empty();
+    return live_requests_.load(std::memory_order_acquire) == 0 && matcher_.empty() &&
+           mprobed_.empty() && rndv_sends_.empty() && rndv_recvs_.empty() &&
+           pending_tx_.empty();
 }
 
 void Worker::dump_state_locked(std::FILE* out) const {
     std::fprintf(out, "endpoint %d  vtime %.3f us  reliable %d\n", ep_,
                  clock_.now(), reliable_ ? 1 : 0);
-    std::fprintf(out, "in-flight requests (%zu):\n", requests_.size());
-    for (const auto& [id, rq] : requests_) {
+    std::fprintf(out, "in-flight requests (%zu):\n",
+                 live_requests_.load(std::memory_order_acquire));
+    for (std::uint32_t index = 0; index < slots_made_; ++index) {
+        const Request& rq = *slot_of(index + 1);
+        // Live: in flight, or complete and not yet taken.
+        if (rq.done && rq.published.load(std::memory_order_acquire) != rq.id) continue;
         std::fprintf(out,
-                     "  req %llu %s msg=%llu tag=%llu peer=%d done=%d "
+                     "  req %s %s msg=%llu tag=%llu peer=%d done=%d "
                      "bytes=%lld/%lld unacked=%d retransmits=%llu "
                      "deadline=%.3f\n",
-                     static_cast<unsigned long long>(id),
-                     rq->kind == Request::Kind::recv ? "recv" : "send",
-                     static_cast<unsigned long long>(rq->msg_id),
-                     static_cast<unsigned long long>(rq->tag), rq->peer,
-                     rq->done ? 1 : 0,
-                     static_cast<long long>(rq->bytes_received),
-                     static_cast<long long>(rq->expected_total), rq->unacked,
-                     static_cast<unsigned long long>(rq->retransmits),
-                     rq->op_deadline);
+                     IdText(rq.id).s, rq.kind == Request::Kind::recv ? "recv" : "send",
+                     static_cast<unsigned long long>(rq.msg_id),
+                     static_cast<unsigned long long>(rq.tag), rq.peer,
+                     rq.done ? 1 : 0,
+                     static_cast<long long>(rq.bytes_received),
+                     static_cast<long long>(rq.expected_total), rq.unacked,
+                     static_cast<unsigned long long>(rq.retransmits),
+                     rq.op_deadline);
     }
     std::fprintf(out, "pending retransmit queue (%zu):\n", pending_tx_.size());
     for (const auto& [seq, ptx] : pending_tx_) {
         std::fprintf(out,
                      "  seq %llu kind=%u msg=%llu retries=%d rto=%.3f "
-                     "next_retry=%.3f owner=%llu\n",
+                     "next_retry=%.3f owner=%s\n",
                      static_cast<unsigned long long>(seq), ptx.pkt.kind,
                      static_cast<unsigned long long>(ptx.pkt.msg_id),
-                     ptx.retries, ptx.rto, ptx.next_retry,
-                     static_cast<unsigned long long>(ptx.owner));
+                     ptx.retries, ptx.rto, ptx.next_retry, IdText(ptx.owner).s);
     }
     std::fprintf(out,
                  "posted_recvs=%zu unexpected=%zu mprobed=%zu "

@@ -37,8 +37,15 @@
 //    admission in arrival order;
 //  - inbound CRC verification and duplicate suppression run outside the
 //    main mutex against per-peer shards;
-//  - completion records live in a separate registry, so is_complete()/
-//    take_completion() never contend with the protocol mutex.
+//  - each completion record lives in its request's slot and is published
+//    with one release store, so is_complete()/take_completion() read it
+//    with an acquire load and never touch the protocol mutex.
+//
+// Requests live in a slot table and are recycled: a RequestId names a
+// slot and that slot's generation, so an id kept after its request was
+// taken (or cancelled) never names the next request in the slot. With the
+// matcher's recycled storage and inline packet headers, an eager message
+// makes no heap allocation in the worker in steady state.
 #pragma once
 
 #include <atomic>
@@ -173,12 +180,16 @@ public:
     // Move this worker's clock forward to at least `t` (timer escalation).
     void observe_time(SimTime t);
 
+    // True once request `id` has completed and until its completion is
+    // taken; false for an id already taken or cancelled.
     [[nodiscard]] bool is_complete(RequestId id);
-    // Retrieve (and erase) the completion record of a finished request.
+    // Retrieve the completion record of a finished request and recycle its
+    // slot; `id` is stale afterwards.
     [[nodiscard]] Completion take_completion(RequestId id);
 
-    // Cancel a pending (unmatched) receive request; returns false if the
-    // request already matched a message or completed.
+    // Cancel a pending (unmatched) receive request and recycle its slot;
+    // returns false if the request already matched a message, completed,
+    // or `id` is stale.
     bool cancel_recv(RequestId id);
 
     // Non-destructive probe of the unexpected queue.
@@ -197,15 +208,28 @@ public:
 private:
     struct Request;
 
-    // Create and register a (receive) request with the next id.
+    // --- Request slot table. Slots never move: chunk k holds
+    // kFirstChunk << k of them and is allocated once, so the table grows
+    // while other threads read published completions. A RequestId is
+    // (generation << 32) | (slot index + 1).
+    static constexpr std::uint32_t kFirstChunk = 16;
+    static constexpr std::size_t kChunks = 29; // every 32-bit slot index
+    // The slot an id names (any generation); nullptr when it names none.
+    [[nodiscard]] Request* slot_of(RequestId id) const noexcept;
+    // The request `id` names while it is in flight; nullptr once it has
+    // completed or when `id` is stale.
+    [[nodiscard]] Request* find_locked(RequestId id) const noexcept;
+    // Start a request with a fresh id in a recycled (or new) slot.
     Request& add_request_locked(Tag tag, BufferDesc&& desc);
+    // Fill the completion record, release the operation's state and
+    // publish the record; from then on the slot is the taker's to recycle.
     void complete_locked(Request& rq, Status st, Count len, Tag sender_tag);
 
     void start_send_locked(Request& rq);
     // Every outgoing data/control packet: addressed from this endpoint and
     // stamped with the request's message id and sender post time.
     [[nodiscard]] netsim::Packet packet_to(int dst, std::uint16_t kind,
-                                           ByteVec header,
+                                           netsim::PacketHeader header,
                                            const Request& rq) const;
     // Read dst.size() bytes at `offset` from the send source, charging the
     // measured pack time; an empty read where bytes were asked is err_pack.
@@ -273,12 +297,22 @@ private:
 
     std::mutex mutex_;
     netsim::VirtualClock clock_;
-    RequestId next_id_ = 1;
     // Rendezvous protocol op ids and mprobe handles (worker-local; the
     // process-unique *message* ids come from trace::next_msg_id()).
     std::uint64_t next_op_id_ = 1;
 
-    std::unordered_map<RequestId, std::unique_ptr<Request>> requests_;
+    // Slot table (see slot_of). Chunk pointers are written under mutex_
+    // and read lock-free by is_complete()/take_completion().
+    std::atomic<Request*> chunks_[kChunks] = {};
+    std::uint32_t slots_made_ = 0; // slots handed out at least once
+    // Free slots as intrusive lists of (index + 1), 0 = empty: one the
+    // protocol side pops and pushes under mutex_, and one that
+    // take_completion() pushes onto lock-free and the protocol side
+    // drains whole.
+    std::uint32_t free_head_ = 0;
+    std::atomic<std::uint32_t> returned_head_{0};
+    // Requests started and not yet taken or cancelled.
+    std::atomic<std::size_t> live_requests_{0};
     // Posted-but-unmatched receives and unexpected messages.
     TagMatcher matcher_;
     // Matched-by-mprobe messages awaiting imrecv.
@@ -325,11 +359,6 @@ private:
     std::atomic<std::uint64_t> adm_dups_{0};
     std::atomic<std::uint64_t> adm_corruption_{0};
     std::atomic<std::uint64_t> acks_sent_{0}; // every ack, locked or not
-
-    // Completion registry: done requests by id. comp_mutex_ is only ever
-    // acquired after (or without) mutex_, never before it.
-    std::mutex comp_mutex_;
-    std::unordered_map<RequestId, Completion> completed_;
 
     // progress() serialization (see above).
     std::atomic<bool> progress_busy_{false};

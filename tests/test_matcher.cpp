@@ -366,5 +366,44 @@ TEST(Matcher, HashedProbeCostFlatForExactTags) {
     }
 }
 
+TEST(Matcher, DrainedTagsLeaveBoundedState) {
+    // 100,000 distinct tags through both sides, first all live at once and
+    // then one at a time without ever repeating (the way collective epoch
+    // tags go by). Once drained, the matcher keeps only its bounded spare
+    // pools and small idle tables: a few hundred entries, however many
+    // tags went through.
+    constexpr std::uint64_t kTags = 100'000;
+    constexpr std::size_t kBound = 4096;
+    TagMatcher m;
+    const auto unexpected = [](Tag tag, std::uint64_t uid) {
+        UnexpectedMsg u;
+        u.tag = tag;
+        u.msg_id = uid;
+        return u;
+    };
+    for (std::uint64_t i = 0; i < kTags; ++i) {
+        m.post_recv(i + 1, compose_tag(0, 0, i), kFullMask);
+        m.add_unexpected(unexpected(compose_tag(1, 0, i), i + 1));
+    }
+    EXPECT_GE(m.retained_tag_state(), 2 * kTags); // live state is counted
+    for (std::uint64_t i = 0; i < kTags; ++i) {
+        ASSERT_EQ(m.match_posted(compose_tag(0, 0, i)), std::optional<RequestId>(i + 1));
+        const auto u = m.take_unexpected(compose_tag(1, 0, i), kFullMask);
+        ASSERT_TRUE(u.has_value());
+        ASSERT_EQ(u->msg_id, i + 1);
+    }
+    EXPECT_TRUE(m.empty());
+    EXPECT_LE(m.retained_tag_state(), kBound);
+
+    for (std::uint64_t i = 0; i < kTags; ++i) {
+        m.post_recv(i + 1, compose_tag(2, 0, i), kFullMask);
+        m.add_unexpected(unexpected(compose_tag(3, 0, i), i + 1));
+        ASSERT_EQ(m.match_posted(compose_tag(2, 0, i)), std::optional<RequestId>(i + 1));
+        ASSERT_TRUE(m.take_unexpected(compose_tag(3, 0, i), kFullMask).has_value());
+    }
+    EXPECT_TRUE(m.empty());
+    EXPECT_LE(m.retained_tag_state(), kBound);
+}
+
 } // namespace
 } // namespace mpicd::ucx

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "base/stats.hpp"
 #include "core/paper_types.hpp"
+#include "dt/par_pack.hpp"
 #include "p2p/coll/schedule.hpp"
 #include "p2p/runner.hpp"
 #include "test_util.hpp"
@@ -620,6 +623,37 @@ TEST_F(P2P, CancelledReceiveCompletes) {
     }
     EXPECT_TRUE(uni.worker(0).idle());
     EXPECT_TRUE(uni.worker(1).idle());
+}
+
+// The transport packs a derived rendezvous message per fragment, and at
+// the default wire parameters every fragment (512 KiB) is below the
+// parallel pool's threshold (2 MiB): even a 4 MiB message packs and
+// unpacks serially, through the compiled plan.
+TEST(DtBridge, DefaultTransfersPackSerially) {
+    if (std::getenv("MPICD_PAR_PACK_THRESHOLD") != nullptr)
+        GTEST_SKIP() << "MPICD_PAR_PACK_THRESHOLD overrides the default threshold";
+    Universe uni(2, test::test_params());
+    const netsim::WireParams& wp = uni.fabric().params();
+    ASSERT_LT(wp.rndv_frag_size, dt::par_pack_threshold());
+    const auto type = core::struct_simple_dt();
+    const Count count = (4 << 20) / core::kScalarPack;
+    std::vector<core::StructSimple> src(static_cast<std::size_t>(count)), dst(src.size());
+    for (std::size_t i = 0; i < src.size(); ++i)
+        src[i] = {static_cast<std::int32_t>(i), 2, -static_cast<std::int32_t>(i), 0.5 * i};
+    const auto before = pack_stats().snapshot();
+    auto rr = uni.comm(1).irecv(dst.data(), count, type, 0, 3);
+    auto rs = uni.comm(0).isend(src.data(), count, type, 1, 3);
+    const MsgStatus st = rr.wait();
+    ASSERT_EQ(rs.wait().status, Status::success);
+    ASSERT_EQ(st.status, Status::success);
+    EXPECT_EQ(st.bytes, count * core::kScalarPack);
+    const auto after = pack_stats().snapshot();
+    EXPECT_EQ(after.parallel_packs, before.parallel_packs);
+    for (std::size_t i = 0; i < src.size(); ++i) {
+        ASSERT_EQ(dst[i].a, src[i].a) << "element " << i;
+        ASSERT_EQ(dst[i].c, src[i].c) << "element " << i;
+        ASSERT_EQ(dst[i].d, src[i].d) << "element " << i;
+    }
 }
 
 } // namespace

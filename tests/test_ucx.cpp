@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "base/flight_recorder.hpp"
 #include "base/pool.hpp"
+#include "base/trace.hpp"
 #include "netsim/fault.hpp"
 #include "test_util.hpp"
 #include "ucx/worker.hpp"
@@ -361,6 +364,103 @@ TEST_F(UcxPair, CancelUnmatchedRecv) {
     const auto rid = w1.tag_recv(99, ~Tag{0}, make_contig_recv(dst.data(), 16));
     EXPECT_TRUE(w1.cancel_recv(rid));
     EXPECT_FALSE(w1.cancel_recv(rid)); // already gone
+}
+
+// Request ids are recycled storage underneath: once a request is taken or
+// cancelled its id is stale and must never reach the next request that
+// occupies the same storage.
+using UcxRequests = UcxPair;
+
+namespace {
+
+// The requests listed in worker `ep`'s section of a flight-recorder dump.
+std::vector<std::string> dumped_requests(int ep) {
+    const std::string path = "mpicd_flight_stale_ids.txt";
+    std::remove(path.c_str());
+    flight::set_enabled(true, path);
+    flight::trigger("stale_id_test", 0, -1.0);
+    flight::set_enabled(false);
+    trace::set_enabled(false);
+    std::vector<std::string> reqs;
+    std::FILE* f = std::fopen(path.c_str(), "r");
+    if (f == nullptr) return reqs;
+    const std::string section = "source: ucx.worker" + std::to_string(ep);
+    bool in_section = false;
+    char line[512];
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+        const std::string l(line);
+        if (l.rfind("---", 0) == 0 || l.rfind("===", 0) == 0)
+            in_section = l.find(section) != std::string::npos;
+        else if (in_section && l.rfind("  req ", 0) == 0)
+            reqs.push_back(l);
+    }
+    std::fclose(f);
+    std::remove(path.c_str());
+    return reqs;
+}
+
+bool lists_tag(const std::vector<std::string>& reqs, Tag tag) {
+    const std::string needle = " tag=" + std::to_string(tag) + " ";
+    return std::any_of(reqs.begin(), reqs.end(), [&](const std::string& l) {
+        return l.find(needle) != std::string::npos;
+    });
+}
+
+} // namespace
+
+TEST_F(UcxRequests, StaleIdNeverAliasesARecycledSlot) {
+    std::uint64_t out = 0x1234, in = 0;
+    // A receive and a send that complete and are taken ...
+    const auto r_taken = w1.tag_recv(5, ~Tag{0}, make_contig_recv(&in, 8));
+    const auto s_taken = w0.tag_send(1, 5, make_contig_send(&out, 8));
+    EXPECT_EQ(take(w1, r_taken).status, Status::success);
+    EXPECT_EQ(take(w0, s_taken).status, Status::success);
+    // ... and a receive that is cancelled.
+    const auto r_cancelled = w1.tag_recv(6, ~Tag{0}, make_contig_recv(&in, 8));
+    ASSERT_TRUE(w1.cancel_recv(r_cancelled));
+    const auto expect_stale = [&] {
+        EXPECT_FALSE(w0.is_complete(s_taken));
+        for (const RequestId stale : {r_taken, r_cancelled}) {
+            EXPECT_FALSE(w1.is_complete(stale));
+            EXPECT_FALSE(w1.cancel_recv(stale));
+        }
+    };
+    expect_stale();
+
+    // New requests take the freed storage: one completes (and is left
+    // untaken), one stays posted. The stale ids reach neither.
+    std::uint64_t out2 = 0x5678, in_done = 0, in_pending = 0;
+    const auto r_done = w1.tag_recv(7, ~Tag{0}, make_contig_recv(&in_done, 8));
+    const auto r_pending = w1.tag_recv(8, ~Tag{0}, make_contig_recv(&in_pending, 8));
+    const auto s_new = w0.tag_send(1, 7, make_contig_send(&out2, 8));
+    expect_stale();
+    progress_until(r_done, w1);
+    expect_stale();
+    EXPECT_TRUE(w1.is_complete(r_done));
+    EXPECT_FALSE(w1.is_complete(r_pending));
+    EXPECT_EQ(in_done, 0x5678u);
+
+    // The dump lists the live requests (posted, and complete but not
+    // taken), and nothing of the taken or cancelled ones.
+    const auto reqs = dumped_requests(1);
+    EXPECT_EQ(reqs.size(), 2u);
+    EXPECT_TRUE(lists_tag(reqs, 7));
+    EXPECT_TRUE(lists_tag(reqs, 8));
+    EXPECT_FALSE(lists_tag(reqs, 5));
+    EXPECT_FALSE(lists_tag(reqs, 6));
+
+    const Completion c = take(w1, r_done);
+    EXPECT_EQ(c.status, Status::success);
+    EXPECT_EQ(c.received_len, 8);
+    EXPECT_EQ(c.sender_tag, 7u);
+    EXPECT_FALSE(w1.is_complete(r_done));
+    EXPECT_TRUE(w1.cancel_recv(r_pending));
+    EXPECT_FALSE(w1.cancel_recv(r_pending));
+    (void)take(w0, s_new);
+    expect_stale();
+    EXPECT_TRUE(w0.idle());
+    EXPECT_TRUE(w1.idle());
+    EXPECT_TRUE(dumped_requests(1).empty());
 }
 
 // ---------------------------------------------------------------------------

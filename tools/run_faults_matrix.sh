@@ -35,10 +35,12 @@
 # test_ucx conformance set, the multi-threaded many-rank soak, and the
 # collectives (whose dissemination-barrier rounds historically aliased one
 # token byte between concurrent send and recv — the TSan regression for
-# that bug lives in test_collectives) — so the finely-locked progress path
-# (busy-flag serialization, sharded admission, completion registry,
-# collective progress hooks) is checked for data races, not just
-# correctness. MPICD_SKIP_TSAN=1 skips it.
+# that bug lives in test_collectives) — plus test_integration and test_p2p,
+# whose threaded ranks poll completions that other threads publish into
+# recycled request slots, so the finely-locked progress path (busy-flag
+# serialization, sharded admission, lock-free completion publishing and
+# slot recycling, collective progress hooks) is checked for data races,
+# not just correctness. MPICD_SKIP_TSAN=1 skips it.
 #
 # A final tracing leg replays the lossy fault/collective tests with
 # MPICD_TRACE=1 over one seed: span instrumentation (MsgScope stamping,
@@ -122,11 +124,11 @@ tsan_leg() {
           -DMPICD_BUILD_EXAMPLES=OFF >/dev/null &&
     cmake --build "$dir" -j "$JOBS" --target \
           test_ucx test_matcher test_reliability_soak \
-          test_collectives test_coll_faults &&
+          test_collectives test_coll_faults test_integration test_p2p &&
     export_lossy 42 &&
     ctest --test-dir "$dir" -j "$JOBS" --output-on-failure \
           --repeat until-pass:2 \
-          -R 'test_ucx|test_matcher|test_reliability_soak|test_collectives|test_coll_faults'
+          -R 'test_ucx|test_matcher|test_reliability_soak|test_collectives|test_coll_faults|test_integration|test_p2p'
 }
 
 trace_leg() {
